@@ -56,35 +56,47 @@ func (r Region) String() string {
 	return fmt.Sprintf("Region(%d)", int(r))
 }
 
-// AddressMap resolves 32-bit addresses against a configuration.
+// AddressMap resolves 32-bit addresses against a configuration. The
+// region bounds are computed once at construction, so resolving an
+// address on every simulated memory op copies no Config.
 type AddressMap struct {
-	cfg  Config
-	grid geom.Grid
+	grid       geom.Grid
+	banks      int    // global banks per tile
+	bankBytes  uint32 // bytes per bank
+	privLimit  uint32 // first address above private SRAM
+	localLimit uint32 // first address above the tile-local bank
+	window     uint32 // per-tile global window size
+	globLimit  uint64 // first address above the global region
 }
 
 // NewAddressMap builds the resolver for a validated configuration.
 func NewAddressMap(cfg Config) *AddressMap {
-	return &AddressMap{cfg: cfg, grid: cfg.Grid()}
+	window := uint32(cfg.SharedMemPerTile())
+	return &AddressMap{
+		grid:       cfg.Grid(),
+		banks:      cfg.GlobalBanksPerTile,
+		bankBytes:  uint32(cfg.BankBytes),
+		privLimit:  uint32(cfg.PrivateMemPerCore),
+		localLimit: LocalBankBase + uint32(cfg.LocalBankBytesPerTile()),
+		window:     window,
+		globLimit:  uint64(GlobalBase) + uint64(cfg.Tiles())*uint64(window),
+	}
 }
 
 // GlobalWindowBytes returns the per-tile global window size.
-func (m *AddressMap) GlobalWindowBytes() uint32 {
-	return uint32(m.cfg.SharedMemPerTile())
-}
+func (m *AddressMap) GlobalWindowBytes() uint32 { return m.window }
 
 // GlobalLimit returns the first address above the global region.
-func (m *AddressMap) GlobalLimit() uint64 {
-	return uint64(GlobalBase) + uint64(m.cfg.Tiles())*uint64(m.GlobalWindowBytes())
-}
+func (m *AddressMap) GlobalLimit() uint64 { return m.globLimit }
 
 // Region classifies an address.
 func (m *AddressMap) Region(addr uint32) Region {
 	switch {
-	case addr < uint32(m.cfg.PrivateMemPerCore):
+	case addr < m.privLimit:
 		return RegionPrivate
-	case addr >= LocalBankBase && addr < LocalBankBase+uint32(m.cfg.LocalBankBytesPerTile()):
+	case addr >= LocalBankBase && addr < m.localLimit:
 		return RegionLocalBank
-	case addr >= GlobalBase && uint64(addr) < m.GlobalLimit():
+	case addr >= GlobalBase && uint64(addr) < m.globLimit:
 		return RegionGlobal
 	default:
 		return RegionUnmapped
@@ -99,11 +111,10 @@ func (m *AddressMap) GlobalTarget(addr uint32) (tile geom.Coord, bank int, offse
 		return geom.Coord{}, 0, 0, fmt.Errorf("arch: address %#x not in global region", addr)
 	}
 	rel := addr - GlobalBase
-	win := m.GlobalWindowBytes()
-	tileIdx := int(rel / win)
-	inWin := rel % win
-	bank = int(inWin / uint32(m.cfg.BankBytes))
-	offset = inWin % uint32(m.cfg.BankBytes)
+	tileIdx := int(rel / m.window)
+	inWin := rel % m.window
+	bank = int(inWin / m.bankBytes)
+	offset = inWin % m.bankBytes
 	return m.grid.Coord(tileIdx), bank, offset, nil
 }
 
@@ -112,15 +123,15 @@ func (m *AddressMap) GlobalAddr(tile geom.Coord, bank int, offset uint32) (uint3
 	if !m.grid.In(tile) {
 		return 0, fmt.Errorf("arch: tile %v outside %v array", tile, m.grid)
 	}
-	if bank < 0 || bank >= m.cfg.GlobalBanksPerTile {
-		return 0, fmt.Errorf("arch: bank %d outside 0..%d", bank, m.cfg.GlobalBanksPerTile-1)
+	if bank < 0 || bank >= m.banks {
+		return 0, fmt.Errorf("arch: bank %d outside 0..%d", bank, m.banks-1)
 	}
-	if offset >= uint32(m.cfg.BankBytes) {
-		return 0, fmt.Errorf("arch: offset %#x exceeds bank size %#x", offset, m.cfg.BankBytes)
+	if offset >= m.bankBytes {
+		return 0, fmt.Errorf("arch: offset %#x exceeds bank size %#x", offset, m.bankBytes)
 	}
 	return GlobalBase +
-		uint32(m.grid.Index(tile))*m.GlobalWindowBytes() +
-		uint32(bank)*uint32(m.cfg.BankBytes) + offset, nil
+		uint32(m.grid.Index(tile))*m.window +
+		uint32(bank)*m.bankBytes + offset, nil
 }
 
 // TileOf returns the tile owning a global address, or an error.

@@ -200,12 +200,22 @@ func (m *TopoModel) LinkLoad(net noc.Network, c geom.Coord, port int) float64 {
 	return m.norm[net][m.grid.Index(c)*m.np+port]
 }
 
+// routeScratch holds routeStep's probe packet and candidate buffer. A
+// route walk declares one and reuses it for every step: both escape
+// through the policy interface, so per-step locals would each cost a
+// heap allocation.
+type routeScratch struct {
+	pkt noc.Packet
+	buf [noc.MaxPorts]int
+}
+
 // routeStep resolves one routing decision: the policy's first candidate
 // port at cur, and the link it crosses. terminal is true at ejection
 // (port == local) or on a contract-violating dead end.
-func (m *TopoModel) routeStep(net noc.Network, cur, dst geom.Coord, buf []int) (port int, far geom.Coord, length int, terminal bool) {
-	pkt := noc.Packet{Net: net, Src: cur, Dst: dst}
-	n := m.topo.Policy().Candidates(net, pkt, cur, m.local, buf)
+func (m *TopoModel) routeStep(net noc.Network, cur, dst geom.Coord, sc *routeScratch) (port int, far geom.Coord, length int, terminal bool) {
+	sc.pkt = noc.Packet{Net: net, Src: cur, Dst: dst}
+	buf := sc.buf[:]
+	n := m.topo.Policy().Candidates(net, &sc.pkt, cur, m.local, buf)
 	if n <= 0 {
 		return 0, cur, 0, true
 	}
@@ -230,14 +240,14 @@ func (m *TopoModel) PairLatency(net noc.Network, src, dst geom.Coord, rate float
 	if !m.alive[m.grid.Index(src)] || !m.alive[m.grid.Index(dst)] {
 		return 0, false
 	}
-	var buf [noc.MaxPorts]int
+	var sc routeScratch
 	lat := 1.0
 	maxSteps := 4 * (m.grid.W + m.grid.H)
 	for cur, step := src, 0; ; step++ {
 		if step > maxSteps {
 			return 0, false // contract violation; treat as unreachable
 		}
-		port, far, length, terminal := m.routeStep(net, cur, dst, buf[:])
+		port, far, length, terminal := m.routeStep(net, cur, dst, &sc)
 		if terminal {
 			if cur != dst {
 				return 0, false
@@ -370,7 +380,7 @@ func (m *TopoModel) build() {
 	routeLen := make([]int64, size) // -1 = unresolved
 	cnt := make([]int64, size)
 	var stack []int32
-	var buf [noc.MaxPorts]int
+	var sc routeScratch
 	var byLen [][]int32 // bucket lists, index = remaining length
 
 	for net := 0; net < 2; net++ {
@@ -387,7 +397,7 @@ func (m *TopoModel) build() {
 			maxLen := 0
 			for i := 0; i < size; i++ {
 				routeLen[i] = -1
-				port, far, length, terminal := m.routeStep(n, g.Coord(i), dst, buf[:])
+				port, far, length, terminal := m.routeStep(n, g.Coord(i), dst, &sc)
 				if terminal {
 					nextIdx[i] = -1
 					routeLen[i] = 0

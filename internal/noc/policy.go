@@ -3,14 +3,22 @@ package noc
 import "waferscale/internal/geom"
 
 // RoutingPolicy decides which output ports a packet at cur may take,
-// in preference order. The full packet is supplied because turn-model
-// algorithms need the source column; arrivalPort is the input port the
-// packet sits in (portLocal for freshly injected packets).
+// in preference order. The full packet is supplied, by pointer so the
+// call copies nothing, because turn-model algorithms need the source
+// column; a policy only reads it. arrivalPort is the input port the
+// packet sits in (the local port for freshly injected packets).
 //
 // Candidates writes the ports into buf — a caller-provided scratch of
 // at least numPorts entries — and returns how many it wrote, so the
 // switch allocator's inner loop allocates nothing. A policy must never
 // return 0 for an in-grid destination (the packet would wedge).
+//
+// The switch allocator calls Candidates once per cycle for the head
+// packet of each non-empty input of each router holding packets and
+// turns the answer into a port set (only membership counts, not the
+// order). It never asks for empty inputs or idle routers and never
+// re-asks per output port, so a policy must be pure: the same answer
+// for the same arguments.
 //
 // When Sim.Shards > 1 the switch allocator calls Candidates from
 // multiple goroutines in the same cycle (each with its own buf), so a
@@ -19,7 +27,7 @@ import "waferscale/internal/geom"
 // keeps per-call mutable state must either synchronize it or be used
 // with the serial engine only.
 type RoutingPolicy interface {
-	Candidates(net Network, p Packet, cur geom.Coord, arrivalPort int, buf []int) int
+	Candidates(net Network, p *Packet, cur geom.Coord, arrivalPort int, buf []int) int
 }
 
 // DoRPolicy is the prototype's strict dimension-ordered routing: one
@@ -27,7 +35,7 @@ type RoutingPolicy interface {
 type DoRPolicy struct{}
 
 // Candidates writes the single DoR port.
-func (DoRPolicy) Candidates(net Network, p Packet, cur geom.Coord, _ int, buf []int) int {
+func (DoRPolicy) Candidates(net Network, p *Packet, cur geom.Coord, _ int, buf []int) int {
 	d, ok := NextHop(net, cur, p.Dst)
 	if !ok {
 		buf[0] = portLocal
@@ -61,7 +69,7 @@ type OddEvenPolicy struct{}
 // dimensions are productive, the one with more remaining hops is
 // preferred (dimension balancing); the switch allocator takes whichever
 // candidate has credit.
-func (OddEvenPolicy) Candidates(_ Network, p Packet, cur geom.Coord, _ int, buf []int) int {
+func (OddEvenPolicy) Candidates(_ Network, p *Packet, cur geom.Coord, _ int, buf []int) int {
 	dst, src := p.Dst, p.Src
 	e0 := dst.X - cur.X
 	e1 := dst.Y - cur.Y

@@ -222,7 +222,7 @@ func (s *refSim) stepNet(mn *refMeshNet) {
 	}
 	candidates := func(p Packet, at geom.Coord, inPort int) []int {
 		buf := make([]int, numPorts)
-		n := s.Policy.Candidates(mn.net, p, at, inPort, buf)
+		n := s.Policy.Candidates(mn.net, &p, at, inPort, buf)
 		return buf[:n]
 	}
 	for _, r := range mn.routers {
@@ -304,6 +304,16 @@ func (s *refSim) stepNet(mn *refMeshNet) {
 			dstPort: int(dirOfPort(gr.outPort).Opposite()),
 		})
 	}
+}
+
+// wantsPort reports whether out appears in the candidate list.
+func wantsPort(candidates []int, out int) bool {
+	for _, c := range candidates {
+		if c == out {
+			return true
+		}
+	}
+	return false
 }
 
 func (s *refSim) Drained() bool {

@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"waferscale/internal/fault"
@@ -36,10 +37,11 @@ type inFlight struct {
 // forwarding. The input FIFOs and round-robin pointers are slices into
 // per-network slabs sized by the topology's port count.
 type router struct {
-	at   geom.Coord
-	idx  int32     // grid index, for O(1) neighbor-table lookups
-	in   []pktFIFO // input FIFOs (ring buffers, FIFODepth each), one per port
-	rrAt []int     // round-robin pointer per output port
+	at     geom.Coord
+	idx    int32     // grid index, for O(1) neighbor-table lookups
+	queued int32     // packets queued over all input FIFOs
+	in     []pktFIFO // input FIFOs (ring buffers, FIFODepth each), one per port
+	rrAt   []int     // round-robin pointer per output port
 }
 
 // grant is one switch-allocation decision: move the head packet of
@@ -60,15 +62,43 @@ type grant struct {
 //     per credit check;
 //   - reserved[...] holds this cycle's switch-allocation reservations
 //     (zeroed via the touched list after traversal);
+//   - active is an ascending bitset of the routers holding at least one
+//     queued packet, so allocation visits only those (an empty router
+//     makes no grants, writes no round-robin pointer and reserves
+//     nothing, so skipping it leaves the grant order unchanged);
 //   - grants is the reusable grant list.
+//
+// Every FIFO push and pop goes through push/pop, which keep the
+// router's queued count and the active bit in step.
 type meshNet struct {
 	net      Network
 	routers  []*router
 	flights  []inFlight
 	inAir    []int32
 	reserved []int32
+	active   []uint64
 	touched  []int32
 	grants   []grant
+}
+
+// push queues p on router r's input port and marks r active.
+func (mn *meshNet) push(r *router, port int, p Packet) {
+	r.in[port].push(p)
+	r.queued++
+	if r.queued == 1 {
+		mn.active[r.idx>>6] |= 1 << (r.idx & 63)
+	}
+}
+
+// pop dequeues the head packet of router r's input port, clearing r's
+// active bit when it empties.
+func (mn *meshNet) pop(r *router, port int) Packet {
+	p := r.in[port].pop()
+	r.queued--
+	if r.queued == 0 {
+		mn.active[r.idx>>6] &^= 1 << (r.idx & 63)
+	}
+	return p
 }
 
 // Sim is the cycle-level simulator of the dual-network waferscale NoC.
@@ -223,6 +253,7 @@ func NewSimTopology(fm *fault.Map, cfg SimConfig, topo Topology) (*Sim, error) {
 			routers:  make([]*router, g.Size()),
 			inAir:    make([]int32, g.Size()*np),
 			reserved: make([]int32, g.Size()*np),
+			active:   make([]uint64, (g.Size()+63)/64),
 		}
 		// All routers of a mesh and their ring buffers, FIFO headers and
 		// round-robin pointers come from four slab allocations, keeping
@@ -353,7 +384,7 @@ func (s *Sim) Inject(net Network, src, dst geom.Coord, kind Kind, tag uint32, pa
 		ID: s.nextID, Kind: kind, Net: net, Src: src, Dst: dst,
 		Tag: tag, Payload: payload, InjectedAt: s.cycle,
 	}
-	r.in[s.local].push(p)
+	s.nets[net].push(r, s.local, p)
 	s.stats.Injected++
 	s.live++
 	return p.ID, nil
@@ -385,7 +416,7 @@ func (s *Sim) Forward(net Network, at, newDst geom.Coord, p Packet) error {
 	}
 	p.Net = net
 	p.Dst = newDst
-	r.in[s.local].push(p)
+	s.nets[net].push(r, s.local, p)
 	s.stats.Forwarded++
 	s.live++
 	return nil
@@ -412,9 +443,8 @@ func (s *Sim) KillRouter(c geom.Coord) int {
 			continue
 		}
 		killed = true
-		for p := 0; p < s.np; p++ {
-			dropped += r.in[p].len()
-		}
+		dropped += int(r.queued)
+		mn.active[i>>6] &^= 1 << (i & 63)
 		mn.routers[i] = nil
 	}
 	if killed {
@@ -626,74 +656,98 @@ func (s *Sim) landFlights(mn *meshNet) {
 			s.live--
 			continue
 		}
-		r.in[f.dstPort].push(f.pkt)
+		mn.push(r, f.dstPort, f.pkt)
 	}
 	mn.flights = remaining
 }
 
-// allocate runs switch allocation for routers [lo, hi): per router, per
-// output port, grant one input whose head packet requests that port,
-// round-robin over inputs. Space accounting reserves downstream slots
-// before movement so a FIFO never overfills within a cycle. The grant
-// list, touched list and candidate buffer are caller-owned reused
-// scratch — this loop allocates nothing in steady state and, because it
-// only reads cycle-frozen state and writes band-local scratch plus
-// single-writer reservation slots, disjoint ranges may run concurrently
-// (the sharded engine relies on this).
+// allocate runs switch allocation for the active routers in [lo, hi),
+// in ascending index order: per router, per output port, grant one
+// input whose head packet requests that port, round-robin over inputs.
+// Each non-empty input's head packet asks the policy once, and the
+// answer becomes a port bitmask the output loop tests. Space accounting
+// reserves downstream slots before movement so a FIFO never overfills
+// within a cycle. The grant list, touched list and candidate buffer are
+// caller-owned reused scratch — this loop allocates nothing in steady
+// state and, because it only reads cycle-frozen state and writes
+// band-local scratch plus single-writer reservation slots, disjoint
+// ranges may run concurrently (the sharded engine relies on this).
 func (s *Sim) allocate(mn *meshNet, lo, hi int, grants []grant, touched []int32, cand []int) ([]grant, []int32) {
-	np, local := s.np, s.local
-	for ri := lo; ri < hi; ri++ {
-		r := mn.routers[ri]
-		if r == nil {
-			continue
-		}
-		var taken [MaxPorts]bool // inputs already granted this cycle
-		base := ri * np
-		for out := 0; out < np; out++ {
-			if out != local && s.linkDown[base+out] {
-				continue // link out of service: packets wait upstream
+	for w := lo >> 6; w<<6 < hi; w++ {
+		for word := mn.active[w]; word != 0; {
+			ri := w<<6 + bits.TrailingZeros64(word)
+			word &= word - 1
+			if ri < lo {
+				continue
 			}
-			// Round-robin: start after the last granted input.
-			for k := 1; k <= np; k++ {
-				inPort := (r.rrAt[out] + k) % np
-				if taken[inPort] {
-					continue
-				}
-				q := &r.in[inPort]
-				if q.len() == 0 {
-					continue
-				}
-				nc := s.Policy.Candidates(mn.net, *q.front(), r.at, inPort, cand)
-				if !wantsPort(cand[:nc], out) {
-					continue
-				}
-				if out == local {
-					// Ejection always has room (the tile consumes it).
-					grants = append(grants, grant{r, inPort, out})
-					r.rrAt[out] = inPort
-					taken[inPort] = true
-					break
-				}
-				ni := s.nbrTile[base+out]
-				if ni < 0 {
-					// Route points off the link graph: drop (cannot happen
-					// for in-grid destinations; defensive).
-					grants = append(grants, grant{r, inPort, out})
-					r.rrAt[out] = inPort
-					taken[inPort] = true
-					break
-				}
-				slot := ni*int32(np) + int32(s.nbrPort[base+out])
-				if !s.spaceFor(mn, int(ni), slot) {
-					continue // no credit; try another input for this port
-				}
-				mn.reserved[slot]++
-				touched = append(touched, slot)
-				grants = append(grants, grant{r, inPort, out})
-				r.rrAt[out] = inPort
-				taken[inPort] = true
+			if ri >= hi {
 				break
 			}
+			grants, touched = s.allocRouter(mn, mn.routers[ri], grants, touched, cand)
+		}
+	}
+	return grants, touched
+}
+
+// allocRouter is allocate's per-router body for one active router.
+func (s *Sim) allocRouter(mn *meshNet, r *router, grants []grant, touched []int32, cand []int) ([]grant, []int32) {
+	np, local := s.np, s.local
+	// want[in] is the candidate port mask of input in's head packet (0
+	// for an empty input); union is their union.
+	var want [MaxPorts]uint32
+	var union uint32
+	for in := 0; in < np; in++ {
+		q := &r.in[in]
+		if q.len() == 0 {
+			continue
+		}
+		nc := s.Policy.Candidates(mn.net, q.front(), r.at, in, cand)
+		var m uint32
+		for _, c := range cand[:nc] {
+			if c >= 0 && c < np {
+				m |= 1 << c
+			}
+		}
+		want[in] = m
+		union |= m
+	}
+	var taken uint32 // inputs already granted this cycle
+	base := int(r.idx) * np
+	for out := 0; out < np; out++ {
+		bit := uint32(1) << out
+		if union&bit == 0 {
+			continue
+		}
+		if out != local && s.linkDown[base+out] {
+			continue // link out of service: packets wait upstream
+		}
+		// Round-robin: start after the last granted input.
+		inPort := r.rrAt[out]
+		for k := 0; k < np; k++ {
+			if inPort++; inPort == np {
+				inPort = 0
+			}
+			if taken&(1<<inPort) != 0 || want[inPort]&bit == 0 {
+				continue
+			}
+			if out != local {
+				// Ejection always has room (the tile consumes it); a route
+				// off the link graph is granted and dropped in traversal
+				// (cannot happen for in-grid destinations; defensive).
+				if ni := s.nbrTile[base+out]; ni >= 0 {
+					port := s.nbrPort[base+out]
+					slot := ni*int32(np) + int32(port)
+					if !s.spaceFor(mn, int(ni), int(port), slot) {
+						continue // no credit; try another input for this port
+					}
+					mn.reserved[slot]++
+					touched = append(touched, slot)
+				}
+			}
+			grants = append(grants, grant{r, inPort, out})
+			r.rrAt[out] = inPort
+			taken |= 1 << inPort
+			break
 		}
 	}
 	return grants, touched
@@ -704,7 +758,7 @@ func (s *Sim) allocate(mn *meshNet, lo, hi int, grants []grant, touched []int32,
 // list order is the delivery order the determinism contract pins.
 func (s *Sim) traverse(mn *meshNet, grants []grant) {
 	for _, gr := range grants {
-		pkt := gr.r.in[gr.inPort].pop()
+		pkt := mn.pop(gr.r, gr.inPort)
 		if gr.outPort == s.local {
 			pkt.DeliveredAt = s.cycle
 			s.stats.Delivered++
@@ -743,29 +797,18 @@ func (s *Sim) traverse(mn *meshNet, grants []grant) {
 	}
 }
 
-// spaceFor reports whether the input FIFO behind slot (= tile*np +
-// port) can absorb one more packet, counting queued packets, packets
+// spaceFor reports whether input FIFO port of tile tileIdx (reservation
+// slot = tile*np + port) can absorb one more packet, counting queued packets, packets
 // in flight toward it and this cycle's reservations — all O(1) from
 // the incrementally maintained counters.
-func (s *Sim) spaceFor(mn *meshNet, tileIdx int, slot int32) bool {
+func (s *Sim) spaceFor(mn *meshNet, tileIdx, port int, slot int32) bool {
 	r := mn.routers[tileIdx]
 	if r == nil {
 		// Faulty destination: allow the move; the packet drops on
 		// arrival (hardware would see an unresponsive link).
 		return true
 	}
-	port := int(slot) % s.np
 	return r.in[port].len()+int(mn.inAir[slot])+int(mn.reserved[slot]) < s.cfg.FIFODepth
-}
-
-// wantsPort reports whether out appears in the candidate list.
-func wantsPort(candidates []int, out int) bool {
-	for _, c := range candidates {
-		if c == out {
-			return true
-		}
-	}
-	return false
 }
 
 // dirOfPort converts a mesh direction-port index back to a geom.Dir.
@@ -838,11 +881,7 @@ func (s *Sim) CongestionReport(topK int) string {
 			if r == nil {
 				continue
 			}
-			n := 0
-			for p := 0; p < s.np; p++ {
-				n += r.in[p].len()
-			}
-			if n > 0 {
+			if n := int(r.queued); n > 0 {
 				queued += n
 				worst = append(worst, stuck{r.at, n})
 			}

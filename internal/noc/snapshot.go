@@ -3,8 +3,8 @@ package noc
 import "waferscale/internal/fault"
 
 // Fork returns a deep copy of the simulator: every piece of mutable run
-// state — router FIFOs, in-flight link traffic, occupancy counters,
-// link outages, statistics, the cycle counter and the packet ID
+// state — router FIFOs, in-flight link traffic, occupancy counters, the
+// active-router set, link outages, statistics, the cycle counter and the packet ID
 // sequence — is copied, so stepping the fork is bit-identical to
 // stepping the original while leaving the original untouched. It is the
 // NoC half of the machine-level warm-state snapshot that lets Monte
@@ -69,6 +69,7 @@ func forkMeshNet(src *meshNet, tiles, np, fifoDepth int) *meshNet {
 		routers:  make([]*router, tiles),
 		inAir:    append([]int32(nil), src.inAir...),
 		reserved: make([]int32, tiles*np),
+		active:   append([]uint64(nil), src.active...),
 	}
 	mn.flights = append([]inFlight(nil), src.flights...)
 	routers := make([]router, tiles)
@@ -82,6 +83,7 @@ func forkMeshNet(src *meshNet, tiles, np, fifoDepth int) *meshNet {
 		r := &routers[i]
 		r.at = sr.at
 		r.idx = sr.idx
+		r.queued = sr.queued
 		r.in = fifos[i*np : (i+1)*np]
 		r.rrAt = rr[i*np : (i+1)*np]
 		copy(r.rrAt, sr.rrAt)

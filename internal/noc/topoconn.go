@@ -66,7 +66,10 @@ func (a *TopoAnalyzer) Reset(topo Topology, fm *fault.Map) {
 	g.All(func(c geom.Coord) { a.alive[g.Index(c)] = fm.Healthy(c) })
 	pol := topo.Policy()
 	local := topo.Ports() - 1
+	// Both escape through the policy interface: declared once per
+	// Reset, not per probe.
 	var buf [MaxPorts]int
+	var pkt Packet
 	for net := 0; net < 2; net++ {
 		n := Network(net)
 		for di := 0; di < size; di++ {
@@ -77,8 +80,8 @@ func (a *TopoAnalyzer) Reset(topo Topology, fm *fault.Map) {
 			for i := 0; i < size; i++ {
 				a.state[i] = 0
 				cur := g.Coord(i)
-				pkt := Packet{Net: n, Src: cur, Dst: dst}
-				nc := pol.Candidates(n, pkt, cur, local, buf[:])
+				pkt = Packet{Net: n, Src: cur, Dst: dst}
+				nc := pol.Candidates(n, &pkt, cur, local, buf[:])
 				if nc <= 0 || buf[0] == local {
 					a.nextIdx[i] = -1
 					continue

@@ -6,6 +6,11 @@
 // contention, and the unified global shared memory carried over the
 // dual-DoR waferscale network (internal/noc).
 //
+// All memory — private SRAM, banks, and the shadow windows of tiles
+// killed at runtime — is zero-initialised and materialised per 4 KiB
+// page on first write (mem.go): a read of a never-written word returns
+// 0, and a machine costs host memory only for the pages it wrote.
+//
 // The cores execute WS-ISA, a small 32-bit load/store ISA (the ARM
 // Cortex-M3 of the prototype is replaced per the reproduction's
 // substitution rule; the architectural claims being validated — unified

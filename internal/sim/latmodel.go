@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"encoding/binary"
-
 	"waferscale/internal/geom"
 	"waferscale/internal/noc"
 )
@@ -107,22 +105,11 @@ func (m *Machine) applyRemote(addr uint32, op uint32, data uint32) (uint32, bool
 	if err != nil {
 		return 0, false
 	}
-	b := m.globalSlice(tile, bank, off)
-	if b == nil {
+	mem, o := m.globalMem(tile, bank, off)
+	if mem == nil {
 		return 0, false
 	}
-	old := binary.LittleEndian.Uint32(b)
-	switch op {
-	case remStore:
-		binary.LittleEndian.PutUint32(b, data)
-	case remAmoAdd:
-		binary.LittleEndian.PutUint32(b, old+data)
-	case remAmoMin:
-		if int32(data) < int32(old) {
-			binary.LittleEndian.PutUint32(b, data)
-		}
-	}
-	return old, true
+	return applyRemOp(mem, o, op, data), true
 }
 
 // remoteOpModeled is remoteOp under an attached timing model: the

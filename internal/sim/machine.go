@@ -2,7 +2,6 @@ package sim
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"sort"
@@ -49,7 +48,7 @@ type Core struct {
 
 	Regs [16]uint32
 	PC   uint32
-	priv []byte
+	priv pagedMem
 
 	state      coreState
 	stallUntil int64
@@ -83,7 +82,7 @@ func (c *Core) Halted() bool { return c.state == coreHalted || c.state == coreFa
 type Tile struct {
 	Coord geom.Coord
 	Cores []*Core
-	banks [][]byte
+	banks []pagedMem
 	// bankBusy tracks the last cycle each bank served an access, for
 	// single-port contention.
 	bankBusy []int64
@@ -175,7 +174,7 @@ type Machine struct {
 	// dead tile's global window; shadow[tileIdx] is the zero-initialized
 	// reserve storage for that window (the data itself is lost).
 	remap  map[int]int
-	shadow map[int][]byte
+	shadow map[int]*pagedMem
 	degr   DegradationReport
 
 	// Progress, when non-nil, is invoked by RunCtx every
@@ -328,7 +327,7 @@ func NewMachineTopology(cfg arch.Config, fm *fault.Map, topology string) (*Machi
 		RemoteTimeout: int64(64 * (g.W + g.H)),
 		RemoteRetries: 3,
 		remap:         make(map[int]int),
-		shadow:        make(map[int][]byte),
+		shadow:        make(map[int]*pagedMem),
 	}
 	netSim.OnDeliver = m.onDeliver
 	m.grid.All(func(c geom.Coord) {
@@ -340,15 +339,15 @@ func NewMachineTopology(cfg arch.Config, fm *fault.Map, topology string) (*Machi
 			t.Cores = append(t.Cores, &Core{
 				tile:    c,
 				idx:     i,
-				priv:    make([]byte, cfg.PrivateMemPerCore),
+				priv:    newPagedMem(cfg.PrivateMemPerCore),
 				state:   coreHalted, // cores start parked until a program loads
 				loadReg: -1,
 			})
 		}
-		t.banks = make([][]byte, cfg.SharedBanksPerTile)
+		t.banks = make([]pagedMem, cfg.SharedBanksPerTile)
 		t.bankBusy = make([]int64, cfg.SharedBanksPerTile)
 		for b := range t.banks {
-			t.banks[b] = make([]byte, cfg.BankBytes)
+			t.banks[b] = newPagedMem(cfg.BankBytes)
 		}
 		m.tiles[m.grid.Index(c)] = t
 	})
@@ -389,11 +388,11 @@ func (m *Machine) LoadProgram(tile geom.Coord, core int, words []uint32) error {
 		return fmt.Errorf("sim: core %d out of range", core)
 	}
 	c := t.Cores[core]
-	if len(words)*4 > len(c.priv) {
+	if len(words)*4 > int(c.priv.size) {
 		return fmt.Errorf("sim: program (%d words) exceeds private SRAM", len(words))
 	}
 	for i, w := range words {
-		binary.LittleEndian.PutUint32(c.priv[4*i:], w)
+		c.priv.store32(uint32(4*i), w)
 	}
 	wasStopped := c.Halted()
 	c.PC = 0
@@ -418,10 +417,10 @@ func (m *Machine) WritePrivate32(tile geom.Coord, core int, addr uint32, v uint3
 	if core < 0 || core >= len(t.Cores) {
 		return fmt.Errorf("sim: core %d out of range", core)
 	}
-	if int(addr)+4 > len(t.Cores[core].priv) || addr%4 != 0 {
+	if uint64(addr)+4 > uint64(t.Cores[core].priv.size) || addr%4 != 0 {
 		return fmt.Errorf("sim: bad private address %#x", addr)
 	}
-	binary.LittleEndian.PutUint32(t.Cores[core].priv[addr:], v)
+	t.Cores[core].priv.store32(addr, v)
 	return nil
 }
 
@@ -434,10 +433,10 @@ func (m *Machine) ReadPrivate32(tile geom.Coord, core int, addr uint32) (uint32,
 	if core < 0 || core >= len(t.Cores) {
 		return 0, fmt.Errorf("sim: core %d out of range", core)
 	}
-	if int(addr)+4 > len(t.Cores[core].priv) || addr%4 != 0 {
+	if uint64(addr)+4 > uint64(t.Cores[core].priv.size) || addr%4 != 0 {
 		return 0, fmt.Errorf("sim: bad private address %#x", addr)
 	}
-	return binary.LittleEndian.Uint32(t.Cores[core].priv[addr:]), nil
+	return t.Cores[core].priv.load32(addr), nil
 }
 
 // Broadcast loads the same program into every core of every healthy
@@ -461,26 +460,36 @@ func (m *Machine) globalID(c *Core) uint32 {
 	return uint32(m.grid.Index(c.tile)*m.Cfg.CoresPerTile + c.idx)
 }
 
-// bank32 accesses a bank word (little endian).
-func bank32(b []byte, off uint32) uint32 { return binary.LittleEndian.Uint32(b[off:]) }
-func setBank32(b []byte, off uint32, v uint32) {
-	binary.LittleEndian.PutUint32(b[off:], v)
-}
-
-// globalSlice returns the 4-byte word backing a global (tile, bank,
+// globalMem returns the memory and offset backing a global (tile, bank,
 // offset) triple: the tile's own bank when it is alive, or the shadow
 // reserve storage when the tile died at runtime and its window was
 // remapped. Returns nil when the address has no backing at all.
-func (m *Machine) globalSlice(tile geom.Coord, bank int, off uint32) []byte {
+func (m *Machine) globalMem(tile geom.Coord, bank int, off uint32) (*pagedMem, uint32) {
 	i := m.grid.Index(tile)
 	if t := m.tiles[i]; t != nil && !t.dead {
-		return t.banks[bank][off : off+4]
+		return &t.banks[bank], off
 	}
 	if buf, ok := m.shadow[i]; ok {
-		o := uint32(bank)*uint32(m.Cfg.BankBytes) + off
-		return buf[o : o+4]
+		return buf, uint32(bank)*uint32(m.Cfg.BankBytes) + off
 	}
-	return nil
+	return nil, 0
+}
+
+// applyRemOp performs remote memory op (remLoad..remAmoMin) on the word
+// at off and returns its old value.
+func applyRemOp(mem *pagedMem, off uint32, op uint32, data uint32) uint32 {
+	old := mem.load32(off)
+	switch op {
+	case remStore:
+		mem.store32(off, data)
+	case remAmoAdd:
+		mem.store32(off, old+data)
+	case remAmoMin:
+		if int32(data) < int32(old) {
+			mem.store32(off, data)
+		}
+	}
+	return old
 }
 
 // routeTarget returns the tile that currently serves a global address:
@@ -509,11 +518,11 @@ func (m *Machine) ReadGlobal32(addr uint32) (uint32, error) {
 	if err != nil {
 		return 0, err
 	}
-	b := m.globalSlice(tile, bank, off)
-	if b == nil {
+	mem, o := m.globalMem(tile, bank, off)
+	if mem == nil {
 		return 0, fmt.Errorf("sim: global address %#x lives on faulty tile %v", addr, tile)
 	}
-	return binary.LittleEndian.Uint32(b), nil
+	return mem.load32(o), nil
 }
 
 // WriteGlobal32 is the host backdoor for stores.
@@ -522,11 +531,11 @@ func (m *Machine) WriteGlobal32(addr uint32, v uint32) error {
 	if err != nil {
 		return err
 	}
-	b := m.globalSlice(tile, bank, off)
-	if b == nil {
+	mem, o := m.globalMem(tile, bank, off)
+	if mem == nil {
 		return fmt.Errorf("sim: global address %#x lives on faulty tile %v", addr, tile)
 	}
-	binary.LittleEndian.PutUint32(b, v)
+	mem.store32(o, v)
 	return nil
 }
 
@@ -602,22 +611,11 @@ func (m *Machine) serveRemote(p noc.Packet) uint32 {
 			return 0xDEAD0000
 		}
 	}
-	b := m.globalSlice(tile, bank, off)
-	if b == nil {
+	mem, o := m.globalMem(tile, bank, off)
+	if mem == nil {
 		return 0xDEAD0001
 	}
-	old := binary.LittleEndian.Uint32(b)
-	switch p.Tag & 0b11 {
-	case remStore:
-		binary.LittleEndian.PutUint32(b, data)
-	case remAmoAdd:
-		binary.LittleEndian.PutUint32(b, old+data)
-	case remAmoMin:
-		if int32(data) < int32(old) {
-			binary.LittleEndian.PutUint32(b, data)
-		}
-	}
-	return old
+	return applyRemOp(mem, o, p.Tag&0b11, data)
 }
 
 // Step advances the machine one cycle.
@@ -1047,11 +1045,11 @@ func (m *Machine) stepRemote(c *Core) {
 }
 
 func (m *Machine) execute(t *Tile, c *Core, sh *machBand) {
-	if int(c.PC)+4 > len(c.priv) {
+	if uint64(c.PC)+4 > uint64(c.priv.size) {
 		m.fault(c, sh, "pc outside private SRAM")
 		return
 	}
-	in := Decode(binary.LittleEndian.Uint32(c.priv[c.PC:]))
+	in := Decode(c.priv.fetch32(c.PC))
 	m.trace(c, in)
 	next := c.PC + 4
 	r := &c.Regs
@@ -1148,15 +1146,15 @@ func (m *Machine) memOp(t *Tile, c *Core, in Instr, sh *machBand) bool {
 	case arch.RegionPrivate:
 		switch in.Op {
 		case OpLw:
-			c.loadVal = binary.LittleEndian.Uint32(c.priv[addr:])
+			c.loadVal = c.priv.load32(addr)
 			c.loadReg = in.Rd
 		case OpSw:
-			binary.LittleEndian.PutUint32(c.priv[addr:], c.Regs[in.Rs2])
+			c.priv.store32(addr, c.Regs[in.Rs2])
 			c.loadReg = -1
 		default:
 			// Atomics on private memory are pointless but harmless.
-			old := binary.LittleEndian.Uint32(c.priv[addr:])
-			m.applyAmo(c.priv[addr:addr+4], in.Op, old, c.Regs[in.Rs2])
+			old := c.priv.load32(addr)
+			applyAmo(&c.priv, addr, in.Op, old, c.Regs[in.Rs2])
 			c.loadVal = old
 			c.loadReg = in.Rd
 		}
@@ -1205,17 +1203,17 @@ func (m *Machine) bankAccess(t *Tile, c *Core, in Instr, bank int, off uint32, l
 		return false
 	}
 	t.bankBusy[bank] = m.cycle
-	b := t.banks[bank]
-	old := bank32(b, off)
+	b := &t.banks[bank]
+	old := b.load32(off)
 	switch in.Op {
 	case OpLw:
 		c.loadVal = old
 		c.loadReg = in.Rd
 	case OpSw:
-		setBank32(b, off, c.Regs[in.Rs2])
+		b.store32(off, c.Regs[in.Rs2])
 		c.loadReg = -1
 	default:
-		m.applyAmo(b[off:off+4], in.Op, old, c.Regs[in.Rs2])
+		applyAmo(b, off, in.Op, old, c.Regs[in.Rs2])
 		c.loadVal = old
 		c.loadReg = in.Rd
 	}
@@ -1224,13 +1222,15 @@ func (m *Machine) bankAccess(t *Tile, c *Core, in Instr, bank int, off uint32, l
 	return true
 }
 
-func (m *Machine) applyAmo(word []byte, op Op, old, operand uint32) {
+// applyAmo writes an atomic's result over the word at off, whose value
+// before the op was old.
+func applyAmo(mem *pagedMem, off uint32, op Op, old, operand uint32) {
 	switch op {
 	case OpAmoAdd:
-		binary.LittleEndian.PutUint32(word, old+operand)
+		mem.store32(off, old+operand)
 	case OpAmoMin:
 		if int32(operand) < int32(old) {
-			binary.LittleEndian.PutUint32(word, operand)
+			mem.store32(off, operand)
 		}
 	}
 }

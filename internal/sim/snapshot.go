@@ -3,9 +3,10 @@ package sim
 import "waferscale/internal/geom"
 
 // Warm-state snapshot/fork for the cycle engine. A fork deep-copies
-// every piece of mutable run state — core registers and private SRAM,
-// shared memory banks and their busy cycles, the network simulator's
-// FIFOs and in-flight packets, pending responses/forwards, remote ops
+// every piece of mutable run state — core registers, private SRAM and
+// shared memory banks (their materialised pages only: untouched pages
+// stay unallocated and read 0), the banks' busy cycles, the network
+// simulator's FIFOs and in-flight packets, pending responses/forwards, remote ops
 // with their deterministic retry/jitter state, the remap/shadow tables,
 // degradation bookkeeping, the fault map, the kernel's memoized routing
 // decisions, and the cycle counter — so stepping the fork is
@@ -71,7 +72,7 @@ func (m *Machine) clone() *Machine {
 		schedEvents:    m.schedEvents, // read-only by contract (inject.Schedule)
 		schedAt:        m.schedAt,
 		remap:          make(map[int]int, len(m.remap)),
-		shadow:         make(map[int][]byte, len(m.shadow)),
+		shadow:         make(map[int]*pagedMem, len(m.shadow)),
 		RemoteRequests: m.RemoteRequests,
 		RemoteLatency:  m.RemoteLatency,
 		BankConflicts:  m.BankConflicts,
@@ -86,7 +87,8 @@ func (m *Machine) clone() *Machine {
 		n.remap[k] = v
 	}
 	for k, v := range m.shadow {
-		n.shadow[k] = append([]byte(nil), v...)
+		cp := v.clone()
+		n.shadow[k] = &cp
 	}
 	n.degr = m.degr
 	n.degr.KilledTiles = append([]geom.Coord(nil), m.degr.KilledTiles...)
@@ -98,7 +100,7 @@ func (m *Machine) clone() *Machine {
 		nt := &Tile{
 			Coord:    t.Coord,
 			Cores:    make([]*Core, len(t.Cores)),
-			banks:    make([][]byte, len(t.banks)),
+			banks:    make([]pagedMem, len(t.banks)),
 			bankBusy: append([]int64(nil), t.bankBusy...),
 			dead:     t.dead,
 			run:      append([]int(nil), t.run...),
@@ -107,11 +109,11 @@ func (m *Machine) clone() *Machine {
 		for j, c := range t.Cores {
 			nc := new(Core)
 			*nc = *c // registers, pipeline state and the rem struct copy by value
-			nc.priv = append([]byte(nil), c.priv...)
+			nc.priv = c.priv.clone()
 			nt.Cores[j] = nc
 		}
 		for b := range t.banks {
-			nt.banks[b] = append([]byte(nil), t.banks[b]...)
+			nt.banks[b] = t.banks[b].clone()
 		}
 		n.tiles[i] = nt
 	}

@@ -32,19 +32,23 @@ hostmeta=$(go run ./scripts/hostmeta 2>/dev/null || echo '{}')
 
 echo "$raw" | awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v count="$COUNT" -v hostmeta="$hostmeta" '
 # Benchmarks may emit extra ReportMetric columns between ns/op and
-# B/op, so locate each value by its unit suffix instead of position.
+# B/op, so locate each value by its unit suffix instead of position;
+# every other column (machineCycles, remoteOps, critPathCycles, ...)
+# is kept under "metrics", so the simulated behaviour is recorded next
+# to the wall time.
 # With -count > 1 each benchmark repeats; keep the repetition with the
 # lowest ns/op.
 /^Benchmark/ && /ns\/op/ {
     name = $1; sub(/-[0-9]+$/, "", name)
-    ns = b = al = "null"
-    for (i = 3; i <= NF; i++) {
+    ns = b = al = "null"; m = ""
+    for (i = 4; i <= NF; i += 2) {
         if ($i == "ns/op") ns = $(i-1)
         else if ($i == "B/op") b = $(i-1)
         else if ($i == "allocs/op") al = $(i-1)
+        else m = m (m == "" ? "" : ", ") "\"" $i "\": " $(i-1)
     }
     if (!(name in best) || ns + 0 < best[name] + 0) {
-        best[name] = ns; iters[name] = $2; bytes[name] = b; allocs[name] = al
+        best[name] = ns; iters[name] = $2; bytes[name] = b; allocs[name] = al; metrics[name] = m
         if (!(name in seen)) { order[++n] = name; seen[name] = 1 }
     }
 }
@@ -52,8 +56,9 @@ END {
     printf "{\n  \"date\": \"%s\",\n  \"count\": %d,\n  \"host\": %s,\n  \"benchmarks\": [\n", date, count, hostmeta
     for (i = 1; i <= n; i++) {
         name = order[i]
-        printf "    {\"name\": \"%s\", \"iters\": %s, \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}%s\n",
-            name, iters[name], best[name], bytes[name], allocs[name], (i < n ? "," : "")
+        extra = metrics[name] == "" ? "" : ", \"metrics\": {" metrics[name] "}"
+        printf "    {\"name\": \"%s\", \"iters\": %s, \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s%s}%s\n",
+            name, iters[name], best[name], bytes[name], allocs[name], extra, (i < n ? "," : "")
     }
     print "  ]\n}"
 }
