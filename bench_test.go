@@ -192,17 +192,7 @@ func BenchmarkFig6DisconnectedPairs(b *testing.B) {
 // BenchmarkFig7PacketSim drives request/response traffic through the
 // dual-network cycle simulator (paper Fig. 7: requests on one network,
 // responses on the complement over the same tiles).
-func BenchmarkFig7PacketSim(b *testing.B) { benchFig7PacketSim(b, 1) }
-
-// Sharded variants of the same workload: identical traffic and
-// bit-identical statistics, stepped by 2/4/8 spatial shards. Compare
-// ns/op against the serial baseline for the speedup (>= 1.5x at 4
-// shards on a >= 4-core host; no speedup is possible on fewer cores).
-func BenchmarkFig7PacketSimShard2(b *testing.B) { benchFig7PacketSim(b, 2) }
-func BenchmarkFig7PacketSimShard4(b *testing.B) { benchFig7PacketSim(b, 4) }
-func BenchmarkFig7PacketSimShard8(b *testing.B) { benchFig7PacketSim(b, 8) }
-
-func benchFig7PacketSim(b *testing.B, shards int) {
+func BenchmarkFig7PacketSim(b *testing.B) {
 	fm := fault.NewMap(geom.NewGrid(16, 16))
 	rng := rand.New(rand.NewSource(7))
 	var avgLat float64
@@ -211,7 +201,6 @@ func benchFig7PacketSim(b *testing.B, shards int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		s.Shards = shards
 		s.OnDeliver = func(p noc.Packet) {
 			if p.Kind == noc.Request {
 				s.Inject(p.Net.Complement(), p.Dst, p.Src, noc.Response, p.Tag, p.Payload)
@@ -227,7 +216,6 @@ func benchFig7PacketSim(b *testing.B, shards int) {
 			b.Fatal(err)
 		}
 		avgLat = s.Stats().AvgLatency()
-		s.Close()
 	}
 	b.ReportMetric(avgLat, "avgLatencyCyc")
 }
@@ -341,15 +329,7 @@ func BenchmarkSec8SubstrateRoute(b *testing.B) {
 // BenchmarkE1GraphWorkloads runs the BFS validation workload as a
 // WS-ISA program on a 4x4-tile machine (the paper's FPGA-emulation
 // stand-in) and verifies against the host reference.
-func BenchmarkE1GraphWorkloads(b *testing.B) { benchE1GraphWorkloads(b, 1) }
-
-// Sharded variants: the same BFS run stepped by 2/4 spatial shards of
-// the machine's core loop and NoC (bit-identical result and cycle
-// count). 8 shards would exceed the 4-row grid, so the curve stops at 4.
-func BenchmarkE1GraphWorkloadsShard2(b *testing.B) { benchE1GraphWorkloads(b, 2) }
-func BenchmarkE1GraphWorkloadsShard4(b *testing.B) { benchE1GraphWorkloads(b, 4) }
-
-func benchE1GraphWorkloads(b *testing.B, shards int) {
+func BenchmarkE1GraphWorkloads(b *testing.B) {
 	cfg := arch.DefaultConfig()
 	cfg.TilesX, cfg.TilesY, cfg.CoresPerTile, cfg.JTAGChains = 4, 4, 4, 4
 	g := sim.GridGraph(8, 8).Unweighted()
@@ -360,8 +340,6 @@ func benchE1GraphWorkloads(b *testing.B, shards int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		m.Shards = shards
-		m.Net().Shards = shards
 		res, err := sim.RunBFS(m, g, 0, sim.AllWorkers(m, 16), 50_000_000)
 		if err != nil {
 			b.Fatal(err)
@@ -372,7 +350,6 @@ func benchE1GraphWorkloads(b *testing.B, shards int) {
 			}
 		}
 		cycles = res.Cycles
-		m.Close()
 	}
 	b.ReportMetric(float64(cycles), "machineCycles")
 }
@@ -482,22 +459,15 @@ func BenchmarkSec7AKGDScreening(b *testing.B) {
 func BenchmarkNoCThroughput(b *testing.B) {
 	for _, topo := range noc.TopologyNames() {
 		topo := topo
-		b.Run(topo, func(b *testing.B) { benchNoCThroughput(b, 1, topo) })
+		b.Run(topo, func(b *testing.B) { benchNoCThroughput(b, topo) })
 	}
 }
 
-// Sharded variants of the mesh throughput sweep (same curve,
-// bit-identical points, 2/4/8 spatial shards stepping each rate's sim).
-func BenchmarkNoCThroughputShard2(b *testing.B) { benchNoCThroughput(b, 2, noc.TopoMesh) }
-func BenchmarkNoCThroughputShard4(b *testing.B) { benchNoCThroughput(b, 4, noc.TopoMesh) }
-func BenchmarkNoCThroughputShard8(b *testing.B) { benchNoCThroughput(b, 8, noc.TopoMesh) }
-
-func benchNoCThroughput(b *testing.B, shards int, topology string) {
+func benchNoCThroughput(b *testing.B, topology string) {
 	grid := geom.NewGrid(8, 8)
 	fm := fault.NewMap(grid)
 	cfg := noc.DefaultThroughputConfig()
 	cfg.WarmupCycles, cfg.MeasureCycles = 200, 600
-	cfg.Shards = shards
 	cfg.Topology = topology
 	// Probe well below every topology's bound, then at its bound.
 	sat := noc.IdealSaturation(topology, grid)
@@ -761,7 +731,6 @@ func BenchmarkWorkloadTransformerBlock(b *testing.B) {
 					b.Fatalf("ops diverged from reference: %v", bad)
 				}
 				rep = r
-				m.Close()
 			}
 			b.ReportMetric(float64(rep.TotalCycles), "machineCycles")
 			b.ReportMetric(float64(rep.CriticalPathCycles), "critPathCycles")

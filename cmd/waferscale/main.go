@@ -484,8 +484,6 @@ func cmdThroughput(args []string) error {
 	side := fs.Int("side", 8, "array side")
 	faults := fs.Int("faults", 0, "random faulty tiles")
 	seed := fs.Int64("seed", 1, "random seed")
-	shards := fs.Int("shards", 1, "spatial shards stepping the mesh per cycle (1 = serial engine)")
-	shardWorkers := fs.Int("shard-workers", 0, "host goroutines per sharded sim (0 = min(shards, GOMAXPROCS))")
 	model := fs.String("model", "cycle", "timing backend: cycle (packet simulation) | analytical (closed-form, approximate)")
 	topology := fs.String("topology", "", "NoC link graph: mesh (default) | cmesh | express | vertical (needs an even side)")
 	if err := fs.Parse(args); err != nil {
@@ -499,8 +497,6 @@ func cmdThroughput(args []string) error {
 	switch *model {
 	case "cycle":
 		tcfg := noc.DefaultThroughputConfig()
-		tcfg.Shards = *shards
-		tcfg.ShardWorkers = *shardWorkers
 		tcfg.Topology = *topology
 		pts, err = noc.MeasureThroughput(fm, tcfg, rates)
 	case "analytical":
@@ -614,8 +610,6 @@ func cmdChaos(args []string) error {
 	maxCycles := fs.Int64("max-cycles", 400_000, "per-trial cycle budget (never-hang bound)")
 	graphSide := fs.Int("graph", 8, "BFS mesh graph side")
 	hostWorkers := fs.Int("host-workers", 0, "host goroutines running trials (0 = GOMAXPROCS)")
-	shards := fs.Int("shards", 1, "spatial shards stepping each trial machine per cycle (1 = serial engine)")
-	shardWorkers := fs.Int("shard-workers", 0, "host goroutines per sharded machine (0 = min(shards, GOMAXPROCS))")
 	fork := fs.Bool("fork", true, "fork each trial from a shared warm prefix (bit-identical results, skips replaying the fault-free prefix)")
 	cfgPath := fs.String("config", "", "JSON config file overriding the prototype design")
 	if err := fs.Parse(args); err != nil {
@@ -634,8 +628,6 @@ func cmdChaos(args []string) error {
 	cfg.MaxCycles = *maxCycles
 	cfg.GraphSide = *graphSide
 	cfg.TrialWorkers = *hostWorkers
-	cfg.Shards = *shards
-	cfg.ShardWorkers = *shardWorkers
 	cfg.Fork = *fork
 	cfg.Kills = cfg.Kills[:0]
 	for _, f := range strings.Split(*kills, ",") {
@@ -801,7 +793,6 @@ func cmdWorkload(args []string) error {
 	if err != nil {
 		return err
 	}
-	defer m.Close()
 	outputs, rep, err := workload.Run(m, g, workload.Options{
 		Placement:    *placement,
 		WorkersPerOp: *workersPerOp,

@@ -36,23 +36,15 @@ type ChaosConfig struct {
 	// (0 = GOMAXPROCS). Workers above is the number of *simulated* BFS
 	// worker cores, a property of the experiment, not the host.
 	TrialWorkers int
-	// Shards/ShardWorkers shard each trial machine's cycle engine (core
-	// loop and NoC) spatially — see sim.Machine.Shards. Per-trial
-	// parallelism and per-cycle sharding compose: when Shards > 1 and
-	// TrialWorkers is left 0, the trial pool is narrowed to
-	// GOMAXPROCS/ShardWorkers so the two levels do not oversubscribe
-	// the host. Results are bit-identical at any setting.
-	Shards       int
-	ShardWorkers int
 
 	// Fork runs each kill count's trials off a shared warm prefix: the
 	// fault-free machine is built and prepared once, advanced to each
 	// trial's fork cycle (the cycle before its first injected kill) and
 	// forked per trial, instead of replaying the identical fault-free
 	// prefix from cycle 0 in every trial. Results are bit-identical to
-	// the from-scratch path at any trial-worker, shard and shard-worker
-	// setting; only wall clock changes. Fork is a host execution knob
-	// like TrialWorkers — it must not enter spec hashes or cache keys.
+	// the from-scratch path at any trial-worker setting; only wall clock
+	// changes. Fork is a host execution knob like TrialWorkers — it must
+	// not enter spec hashes or cache keys.
 	Fork bool
 
 	// Progress, when non-nil, is invoked after every completed trial
@@ -161,18 +153,6 @@ func (d *Design) RunChaosCtx(ctx context.Context, cfg ChaosConfig) ([]ChaosPoint
 	g := sim.GridGraph(cfg.GraphSide, cfg.GraphSide).Unweighted()
 	want := g.ReferenceSSSP(0)
 
-	trialWorkers := cfg.TrialWorkers
-	if cfg.Shards > 1 && trialWorkers <= 0 {
-		// Per-cycle sharding multiplies each trial's goroutine demand;
-		// narrow the trial pool so trials x shard-gang stays within
-		// GOMAXPROCS instead of oversubscribing the host.
-		perTrial := parallel.Workers(cfg.ShardWorkers, cfg.Shards)
-		trialWorkers = parallel.Workers(0, 0) / perTrial
-		if trialWorkers < 1 {
-			trialWorkers = 1
-		}
-	}
-
 	var (
 		trialsDone    atomic.Int64
 		cyclesStepped atomic.Int64
@@ -189,10 +169,10 @@ func (d *Design) RunChaosCtx(ctx context.Context, cfg ChaosConfig) ([]ChaosPoint
 		var trials []chaosTrial
 		var err error
 		if cfg.Fork {
-			trials, err = d.runForkedChaosPoint(ctx, cfg, g, want, kills, trialWorkers, report)
+			trials, err = d.runForkedChaosPoint(ctx, cfg, g, want, kills, report)
 		} else {
 			trials = make([]chaosTrial, cfg.Trials)
-			err = parallel.ForEach(ctx, cfg.Trials, trialWorkers, func(i int) error {
+			err = parallel.ForEach(ctx, cfg.Trials, cfg.TrialWorkers, func(i int) error {
 				t, terr := d.runChaosTrial(ctx, cfg, g, want, kills, i)
 				if terr != nil {
 					return terr
@@ -234,9 +214,6 @@ func (d *Design) runChaosTrial(ctx context.Context, cfg ChaosConfig, g *sim.Grap
 	if err != nil {
 		return chaosTrial{}, err
 	}
-	m.Shards = cfg.Shards
-	m.Workers = cfg.ShardWorkers
-	defer m.Close()
 	sched := inject.Random(m.Cfg.Grid(), kills, cfg.KillWindow, fault.TrialSeed(cfg.Seed, kills, trial), nil)
 	if err := m.AttachSchedule(sched); err != nil {
 		return chaosTrial{}, err
@@ -272,14 +249,11 @@ func (d *Design) runChaosTrial(ctx context.Context, cfg ChaosConfig, g *sim.Grap
 // stepping it from the fork cycle is the same computation from-scratch
 // stepping performs; and per-trial seeds come from fault.TrialSeed, not
 // shared state, so trial order and worker count do not matter.
-func (d *Design) runForkedChaosPoint(ctx context.Context, cfg ChaosConfig, g *sim.Graph, want []int32, kills, trialWorkers int, report func(chaosTrial)) ([]chaosTrial, error) {
+func (d *Design) runForkedChaosPoint(ctx context.Context, cfg ChaosConfig, g *sim.Graph, want []int32, kills int, report func(chaosTrial)) ([]chaosTrial, error) {
 	m0, err := d.BuildMachine(cfg.Side, nil)
 	if err != nil {
 		return nil, err
 	}
-	m0.Shards = cfg.Shards
-	m0.Workers = cfg.ShardWorkers
-	defer m0.Close()
 	ws := sim.SpreadWorkers(m0, cfg.Workers)
 	distA, err := sim.PrepareSSSP(m0, g, 0, ws)
 	if err != nil {
@@ -292,7 +266,6 @@ func (d *Design) runForkedChaosPoint(ctx context.Context, cfg ChaosConfig, g *si
 	// absolute cycle budget, and collects the result. Each call writes a
 	// distinct trials slot, so concurrent finishes do not race.
 	finish := func(fm *sim.Machine, sched *inject.Schedule, trial int) error {
-		defer fm.Close()
 		if err := fm.AttachSchedule(sched); err != nil {
 			return err
 		}
@@ -356,7 +329,7 @@ func (d *Design) runForkedChaosPoint(ctx context.Context, cfg ChaosConfig, g *si
 	}
 	sort.SliceStable(order, func(a, b int) bool { return forkAt[order[a]] < forkAt[order[b]] })
 
-	workers := parallel.Workers(trialWorkers, cfg.Trials)
+	workers := parallel.Workers(cfg.TrialWorkers, cfg.Trials)
 	if workers <= 1 {
 		for _, i := range order {
 			if err := m0.RunToCycleCtx(ctx, forkAt[i]); err != nil {

@@ -102,7 +102,6 @@ func ExploreWorkloadTopologiesCtx(ctx context.Context, g *workload.Graph, opts W
 		if err != nil {
 			return fmt.Errorf("core: workload sweep %s/%s: %w", c.topo, c.place, err)
 		}
-		defer m.Close()
 		outputs, rep, err := workload.RunCtx(ctx, m, g, workload.Options{
 			Placement:    c.place,
 			WorkersPerOp: opts.WorkersPerOp,

@@ -83,22 +83,38 @@ func invariantCheck(t *testing.T, e engine) {
 	}
 }
 
-// TestInvariantsChaosAllTopologies checks the invariants after every
-// step of a chaos run (runtime router kills, link flaps, bit errors,
-// relay forwards) on every topology at every shard count.
-func TestInvariantsChaosAllTopologies(t *testing.T) {
+// TestInvariantsUniformAllTopologies checks the invariants after every
+// step of uniform traffic on a healthy and on a faulty map, on every
+// topology.
+func TestInvariantsUniformAllTopologies(t *testing.T) {
 	for _, name := range TopologyNames() {
-		for _, shards := range shardCounts {
+		for _, faults := range []int{0, 7} {
 			s := scenario{
-				grid: geom.NewGrid(10, 10), faults: 3, seed: 2101,
-				cycles: 400, injectProb: 0.9, chaos: true, forwardMod: 3,
+				grid: geom.NewGrid(12, 12), faults: faults, seed: 2001,
+				cycles: 400, injectProb: 0.9,
 				checkLiveFn: invariantCheck,
 			}
 			sim := newTopoSim(t, name, s, DefaultSimConfig())
-			sim.Shards = shards
 			runScenario(t, s, sim, sim.Delivered)
-			sim.Close()
+			if sim.Stats().Delivered == 0 {
+				t.Fatalf("%s faults=%d: delivered nothing", name, faults)
+			}
 		}
+	}
+}
+
+// TestInvariantsChaosAllTopologies checks the invariants after every
+// step of a chaos run (runtime router kills, link flaps, bit errors,
+// relay forwards) on every topology.
+func TestInvariantsChaosAllTopologies(t *testing.T) {
+	for _, name := range TopologyNames() {
+		s := scenario{
+			grid: geom.NewGrid(10, 10), faults: 3, seed: 2101,
+			cycles: 400, injectProb: 0.9, chaos: true, forwardMod: 3,
+			checkLiveFn: invariantCheck,
+		}
+		sim := newTopoSim(t, name, s, DefaultSimConfig())
+		runScenario(t, s, sim, sim.Delivered)
 	}
 }
 
@@ -106,26 +122,23 @@ func TestInvariantsChaosAllTopologies(t *testing.T) {
 // saturating load, where the credit bound is tight every cycle.
 func TestInvariantsBackpressureAllTopologies(t *testing.T) {
 	for _, name := range TopologyNames() {
-		for _, shards := range shardCounts {
-			s := scenario{
-				grid: geom.NewGrid(11, 10), seed: 2202,
-				cycles: 300, injectProb: 1.0, fifoDepth: 1,
-				checkLiveFn: invariantCheck,
-			}
-			sim := newTopoSim(t, name, s, SimConfig{FIFODepth: 1, LinkLatency: DefaultSimConfig().LinkLatency})
-			sim.Shards = shards
-			runScenario(t, s, sim, sim.Delivered)
-			sim.Close()
+		s := scenario{
+			grid: geom.NewGrid(11, 10), seed: 2202,
+			cycles: 300, injectProb: 1.0, fifoDepth: 1,
+			checkLiveFn: invariantCheck,
 		}
+		sim := newTopoSim(t, name, s, SimConfig{FIFODepth: 1, LinkLatency: DefaultSimConfig().LinkLatency})
+		runScenario(t, s, sim, sim.Delivered)
 	}
 }
 
 // TestInvariantsAcrossFork downs topology-specific ports and kills
-// routers mid-run, forks, and keeps checking the original (serial) and
-// the fork (sharded) after every step until both drain.
+// routers mid-run, forks, and keeps checking the original and the fork
+// after every step until both drain. Each topology runs under several
+// port-down and kill schedules.
 func TestInvariantsAcrossFork(t *testing.T) {
 	for _, name := range TopologyNames() {
-		for _, shards := range shardCounts {
+		for _, sched := range []int{1, 2, 4, 7} {
 			g := geom.NewGrid(8, 8)
 			topo, err := NewTopology(name, g)
 			if err != nil {
@@ -139,10 +152,10 @@ func TestInvariantsAcrossFork(t *testing.T) {
 			check := func(s *Sim, what string) {
 				t.Helper()
 				if err := s.checkInvariants(); err != nil {
-					t.Fatalf("%s shards=%d %s cycle %d: %v", name, shards, what, s.Cycle(), err)
+					t.Fatalf("%s sched=%d %s cycle %d: %v", name, sched, what, s.Cycle(), err)
 				}
 			}
-			rng := rand.New(rand.NewSource(int64(2303 + shards)))
+			rng := rand.New(rand.NewSource(int64(2303 + sched)))
 			drive := &nocTrafficDriver{rng: rand.New(rand.NewSource(2309)), grid: g}
 			for cyc := 0; cyc < 200; cyc++ {
 				if cyc%31 == 13 {
@@ -158,7 +171,6 @@ func TestInvariantsAcrossFork(t *testing.T) {
 				check(sim, "warm")
 			}
 			fork := sim.Fork(fm.Clone())
-			fork.Shards = shards
 			check(fork, "fork")
 			for cyc := 0; cyc < 100; cyc++ {
 				drive.tick(t, sim)
@@ -179,10 +191,9 @@ func TestInvariantsAcrossFork(t *testing.T) {
 					check(s, "drain")
 				}
 				if !s.Drained() {
-					t.Fatalf("%s shards=%d: did not drain: %s", name, shards, s.CongestionReport(4))
+					t.Fatalf("%s sched=%d: did not drain: %s", name, sched, s.CongestionReport(4))
 				}
 			}
-			fork.Close()
 		}
 	}
 }

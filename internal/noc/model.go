@@ -118,7 +118,6 @@ func (m *CycleModel) PairLatency(net Network, src, dst geom.Coord, rate float64)
 	if err != nil {
 		return 0, false
 	}
-	defer s.Close()
 	healthy := m.FM.HealthyCoords()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	const probeTag = 1<<32 - 1

@@ -20,12 +20,11 @@ import "waferscale/internal/geom"
 // re-asks per output port, so a policy must be pure: the same answer
 // for the same arguments.
 //
-// When Sim.Shards > 1 the switch allocator calls Candidates from
-// multiple goroutines in the same cycle (each with its own buf), so a
-// policy must be safe for concurrent use. Stateless policies — both
+// A policy must be safe for concurrent use: Sim.Fork shares the
+// original's Policy with every fork, and parallel trials step their
+// forks side by side, each with its own buf. Stateless policies — both
 // DoRPolicy and OddEvenPolicy — satisfy this trivially; a policy that
-// keeps per-call mutable state must either synchronize it or be used
-// with the serial engine only.
+// keeps per-call mutable state must synchronize it.
 type RoutingPolicy interface {
 	Candidates(net Network, p *Packet, cur geom.Coord, arrivalPort int, buf []int) int
 }

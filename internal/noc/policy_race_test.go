@@ -8,10 +8,10 @@ import (
 )
 
 // TestPolicyConcurrentCandidates is the race canary for the Topology
-// concurrency contract (topology.go): the sharded engine calls
-// Candidates from multiple goroutines in the same cycle, each with its
-// own buffer, so every shipped policy must be safe for lock-free
-// concurrent use. Run under -race (CI does), a policy smuggling mutable
+// concurrency contract (topology.go): forks share one topology and its
+// policy, and parallel trials step their forks side by side, so
+// Candidates runs on many goroutines at once, each with its own buffer
+// and every shipped policy must be safe for lock-free concurrent use. Run under -race (CI does), a policy smuggling mutable
 // per-call state through its receiver trips the detector here.
 func TestPolicyConcurrentCandidates(t *testing.T) {
 	g := geom.NewGrid(12, 12)
@@ -23,15 +23,15 @@ func TestPolicyConcurrentCandidates(t *testing.T) {
 		}
 		policies[name] = topo.Policy()
 	}
-	const shards = 8
+	const trials = 8
 	for name, pol := range policies {
 		var wg sync.WaitGroup
-		for s := 0; s < shards; s++ {
+		for s := 0; s < trials; s++ {
 			wg.Add(1)
 			go func(band int) {
 				defer wg.Done()
 				var buf [MaxPorts]int
-				for y := band; y < g.H; y += shards {
+				for y := band; y < g.H; y += trials {
 					for x := 0; x < g.W; x++ {
 						cur := geom.C(x, y)
 						g.All(func(dst geom.Coord) {

@@ -7,7 +7,6 @@ import (
 
 	"waferscale/internal/fault"
 	"waferscale/internal/geom"
-	"waferscale/internal/parallel"
 )
 
 // Port indices inside a mesh router: the four mesh directions plus the
@@ -160,47 +159,6 @@ type Sim struct {
 	delivered []Packet // retained when RetainDelivered is true
 	// RetainDelivered keeps every delivered packet for inspection.
 	RetainDelivered bool
-
-	// Shards partitions the tile grid into that many contiguous row
-	// bands whose switch allocation runs concurrently (<= 1 keeps the
-	// serial engine). Results are bit-identical to the serial engine at
-	// any shard or worker count: allocation only reads state frozen for
-	// the cycle plus per-band scratch, every (tile, port) reservation
-	// slot has exactly one possible writer router — the Topology
-	// contract NewSimTopology validates — and grants are committed
-	// serially in band order, which is exactly the serial engine's
-	// ascending router order. See EXPERIMENTS.md ("Sharded cycle
-	// engine") for when this beats per-trial parallelism.
-	Shards int
-	// Workers caps the gang width driving the shard bands (0 =
-	// GOMAXPROCS, clamped to Shards). Purely a wall-clock knob.
-	Workers int
-	se      *shardEngine
-}
-
-// nocBand is one contiguous row band of the sharded allocator with its
-// private scratch. The pad keeps neighboring bands' append-mutated
-// slice headers off a shared cache line.
-type nocBand struct {
-	lo, hi  int // router index range [lo, hi)
-	grants  []grant
-	touched []int32
-	cand    [MaxPorts]int
-	_       [64]byte
-}
-
-// shardEngine is the lazily built parallel stepping state: the band
-// decomposition plus the persistent worker gang that releases once per
-// (cycle, network).
-type shardEngine struct {
-	shards  int
-	workers int
-	gang    *parallel.Gang
-	bands   []nocBand
-	// curNet is the network the hoisted allocFn closure works on; set
-	// before each gang.Run so the per-cycle loop allocates nothing.
-	curNet  *meshNet
-	allocFn func(b int)
 }
 
 // NewSim builds a simulator of the reference dual-DoR mesh over a
@@ -215,9 +173,9 @@ func NewSim(fm *fault.Map, cfg SimConfig) (*Sim, error) {
 // NewSimTopology builds a simulator over a fault map and a link graph
 // (nil topology = the reference mesh). The topology's graph invariants
 // — bidirectional links with consistent endpoints, a unique incoming
-// link per (tile, port) — are validated here, because the sharded
-// engine's determinism proof depends on them; a violating topology is
-// rejected, never silently mis-simulated.
+// link per (tile, port) — are validated here, because the engine's
+// per-(tile, port) occupancy counters depend on them; a violating
+// topology is rejected, never silently mis-simulated.
 func NewSimTopology(fm *fault.Map, cfg SimConfig, topo Topology) (*Sim, error) {
 	if fm == nil {
 		return nil, fmt.Errorf("noc: nil fault map")
@@ -287,8 +245,8 @@ func NewSimTopology(fm *fault.Map, cfg SimConfig, topo Topology) (*Sim, error) {
 // tables the hot loop indexes, validating the Topology contract along
 // the way: links resolve inside the grid, are bidirectional with
 // consistent endpoints and lengths, and no two links arrive at the
-// same (tile, port) — the single-writer property the sharded engine's
-// reservation slots rely on.
+// same (tile, port), so each input FIFO's in-flight and reservation
+// counters (slot tile*np+port) track exactly one upstream link.
 func (s *Sim) buildLinkTables() error {
 	g, np, topo := s.grid, s.np, s.topo
 	s.nbrTile = make([]int32, g.Size()*np)
@@ -330,7 +288,7 @@ func (s *Sim) buildLinkTables() error {
 			fi := g.Index(far)
 			slot := fi*np + ap
 			if incoming[slot] {
-				fail = fmt.Errorf("noc: topology %q: two links arrive at (%v, port %d) — breaks the sharded engine's single-writer reservation slots", topo.Name(), far, ap)
+				fail = fmt.Errorf("noc: topology %q: two links arrive at (%v, port %d) — an input FIFO must have a single upstream link", topo.Name(), far, ap)
 				return
 			}
 			incoming[slot] = true
@@ -527,90 +485,8 @@ func (s *Sim) CountTimeout() { s.stats.Timeouts++ }
 // Step advances the simulation one cycle.
 func (s *Sim) Step() {
 	s.cycle++
-	if s.Shards > 1 {
-		s.stepSharded()
-		return
-	}
 	for _, mn := range s.nets {
 		s.stepNet(mn)
-	}
-}
-
-// Close releases the worker goroutines behind a sharded simulator. It
-// is a no-op for serial sims and idempotent; the sim remains usable
-// (stepping re-creates the gang on demand).
-func (s *Sim) Close() {
-	if s.se != nil {
-		s.se.gang.Close()
-		s.se = nil
-	}
-}
-
-// sharding returns the shard engine for the current Shards/Workers
-// settings, (re)building bands and gang when the knobs changed.
-func (s *Sim) sharding() *shardEngine {
-	shards := s.Shards
-	if shards > s.grid.H {
-		shards = s.grid.H // at most one band per row
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	workers := parallel.Workers(s.Workers, shards)
-	if se := s.se; se != nil && se.shards == shards && se.workers == workers {
-		return se
-	}
-	s.Close()
-	se := &shardEngine{
-		shards:  shards,
-		workers: workers,
-		gang:    parallel.NewGang(workers),
-		bands:   make([]nocBand, shards),
-	}
-	for b := 0; b < shards; b++ {
-		se.bands[b].lo = b * s.grid.H / shards * s.grid.W
-		se.bands[b].hi = (b + 1) * s.grid.H / shards * s.grid.W
-	}
-	se.allocFn = func(b int) {
-		sh := &se.bands[b]
-		sh.grants, sh.touched = s.allocate(se.curNet, sh.lo, sh.hi,
-			sh.grants[:0], sh.touched[:0], sh.cand[:])
-	}
-	s.se = se
-	return se
-}
-
-// stepSharded is the parallel variant of the per-cycle loop. The phase
-// order of the serial engine is preserved exactly — per network: land,
-// allocate, traverse — with only the allocation phase fanned out over
-// the row bands. Landing and traversal stay on the caller: they mutate
-// global state (stats, live counter, flight list, user callbacks) whose
-// serial ordering is part of the determinism contract.
-func (s *Sim) stepSharded() {
-	se := s.sharding()
-	for _, mn := range s.nets {
-		s.landFlights(mn)
-		// Phase 1 (parallel): switch allocation per band. Each band
-		// reads FIFO occupancy and flight/reservation counters frozen
-		// for this cycle and writes only its own routers' round-robin
-		// state, its private grant/touched scratch, and reservation
-		// slots no other band can claim (a slot's unique writer is the
-		// router upstream of it — the validated Topology invariant).
-		se.curNet = mn
-		se.gang.Run(len(se.bands), se.allocFn)
-		// Phase 2 (serial commit): apply grants in band order — the
-		// concatenation is exactly the serial engine's ascending router
-		// order, so delivery order, stats and callbacks are identical.
-		for b := range se.bands {
-			s.traverse(mn, se.bands[b].grants)
-		}
-		for b := range se.bands {
-			sh := &se.bands[b]
-			for _, slot := range sh.touched {
-				mn.reserved[slot] = 0
-			}
-			sh.touched = sh.touched[:0]
-		}
 	}
 }
 
@@ -621,13 +497,12 @@ func (s *Sim) StepN(n int) {
 	}
 }
 
-// stepNet advances one network one cycle on the serial engine:
-// land, allocate over the full router range, traverse, clear.
+// stepNet advances one network one cycle: land, allocate, traverse,
+// clear.
 func (s *Sim) stepNet(mn *meshNet) {
 	s.landFlights(mn)
-	mn.grants, mn.touched = s.allocate(mn, 0, len(mn.routers),
-		mn.grants[:0], mn.touched[:0], s.candBuf[:])
-	s.traverse(mn, mn.grants)
+	s.allocate(mn)
+	s.traverse(mn)
 	// Clear this cycle's reservations (touched may hold duplicates;
 	// zeroing twice is harmless).
 	for _, slot := range mn.touched {
@@ -661,37 +536,27 @@ func (s *Sim) landFlights(mn *meshNet) {
 	mn.flights = remaining
 }
 
-// allocate runs switch allocation for the active routers in [lo, hi),
-// in ascending index order: per router, per output port, grant one
+// allocate runs switch allocation for the active routers in ascending
+// index order into mn.grants: per router, per output port, grant one
 // input whose head packet requests that port, round-robin over inputs.
 // Each non-empty input's head packet asks the policy once, and the
 // answer becomes a port bitmask the output loop tests. Space accounting
 // reserves downstream slots before movement so a FIFO never overfills
-// within a cycle. The grant list, touched list and candidate buffer are
-// caller-owned reused scratch — this loop allocates nothing in steady
-// state and, because it only reads cycle-frozen state and writes
-// band-local scratch plus single-writer reservation slots, disjoint
-// ranges may run concurrently (the sharded engine relies on this).
-func (s *Sim) allocate(mn *meshNet, lo, hi int, grants []grant, touched []int32, cand []int) ([]grant, []int32) {
-	for w := lo >> 6; w<<6 < hi; w++ {
-		for word := mn.active[w]; word != 0; {
-			ri := w<<6 + bits.TrailingZeros64(word)
-			word &= word - 1
-			if ri < lo {
-				continue
-			}
-			if ri >= hi {
-				break
-			}
-			grants, touched = s.allocRouter(mn, mn.routers[ri], grants, touched, cand)
+// within a cycle. The grant and touched lists and the candidate buffer
+// are reused scratch, so this loop allocates nothing in steady state.
+func (s *Sim) allocate(mn *meshNet) {
+	mn.grants = mn.grants[:0]
+	for w, word := range mn.active {
+		for ; word != 0; word &= word - 1 {
+			s.allocRouter(mn, mn.routers[w<<6+bits.TrailingZeros64(word)])
 		}
 	}
-	return grants, touched
 }
 
 // allocRouter is allocate's per-router body for one active router.
-func (s *Sim) allocRouter(mn *meshNet, r *router, grants []grant, touched []int32, cand []int) ([]grant, []int32) {
+func (s *Sim) allocRouter(mn *meshNet, r *router) {
 	np, local := s.np, s.local
+	cand := s.candBuf[:]
 	// want[in] is the candidate port mask of input in's head packet (0
 	// for an empty input); union is their union.
 	var want [MaxPorts]uint32
@@ -741,23 +606,22 @@ func (s *Sim) allocRouter(mn *meshNet, r *router, grants []grant, touched []int3
 						continue // no credit; try another input for this port
 					}
 					mn.reserved[slot]++
-					touched = append(touched, slot)
+					mn.touched = append(mn.touched, slot)
 				}
 			}
-			grants = append(grants, grant{r, inPort, out})
+			mn.grants = append(mn.grants, grant{r, inPort, out})
 			r.rrAt[out] = inPort
 			taken |= 1 << inPort
 			break
 		}
 	}
-	return grants, touched
 }
 
-// traverse applies the grants in list order: ejections update stats and
-// fire OnDeliver, link crossings launch flights. It must run serially —
-// list order is the delivery order the determinism contract pins.
-func (s *Sim) traverse(mn *meshNet, grants []grant) {
-	for _, gr := range grants {
+// traverse applies this cycle's grants in list order: ejections update
+// stats and fire OnDeliver, link crossings launch flights. List order is
+// the delivery order the determinism contract pins.
+func (s *Sim) traverse(mn *meshNet) {
+	for _, gr := range mn.grants {
 		pkt := mn.pop(gr.r, gr.inPort)
 		if gr.outPort == s.local {
 			pkt.DeliveredAt = s.cycle

@@ -17,9 +17,8 @@ import "waferscale/internal/fault"
 // — the fork trusts router liveness, not fm, for which routers exist.
 //
 // The fork's OnDeliver is nil (callbacks capture the original's owner;
-// the caller rewires its own), its Policy and topology (with the
-// immutable neighbor tables) are shared, and its shard engine is
-// rebuilt lazily on first step from the copied Shards/Workers knobs.
+// the caller rewires its own), and its Policy and topology (with the
+// immutable neighbor tables) are shared.
 // Fork must be called between cycles, like every other mutation of the
 // simulator.
 func (s *Sim) Fork(fm *fault.Map) *Sim {
@@ -39,8 +38,6 @@ func (s *Sim) Fork(fm *fault.Map) *Sim {
 		stats:           s.stats,
 		live:            s.live,
 		RetainDelivered: s.RetainDelivered,
-		Shards:          s.Shards,
-		Workers:         s.Workers,
 	}
 	n.linkDown = append([]bool(nil), s.linkDown...)
 	for i := range s.linkUse {

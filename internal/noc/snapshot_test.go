@@ -101,38 +101,6 @@ func TestSimForkMidTraffic(t *testing.T) {
 	}
 }
 
-// TestSimForkShardedContinuation: a serial original forked into a
-// sharded continuation (and vice versa) must stay bit-identical — the
-// fork copies the Shards/Workers knobs but the engine itself is rebuilt
-// lazily, and sharding is observable-equivalent by contract.
-func TestSimForkShardedContinuation(t *testing.T) {
-	grid := geom.NewGrid(8, 8)
-	run := func(forkShards int) SimStats {
-		fm := fault.NewMap(grid)
-		s := newSim(t, fm)
-		warm := &nocTrafficDriver{rng: rand.New(rand.NewSource(31)), grid: grid}
-		for c := 0; c < 120; c++ {
-			warm.tick(t, s)
-			s.Step()
-		}
-		f := s.Fork(fm.Clone())
-		f.Shards = forkShards
-		defer f.Close()
-		cont := &nocTrafficDriver{rng: rand.New(rand.NewSource(37)), grid: grid}
-		for c := 0; c < 300; c++ {
-			cont.tick(t, f)
-			f.Step()
-		}
-		return f.Stats()
-	}
-	ref := run(1)
-	for _, shards := range []int{2, 4, 7} {
-		if got := run(shards); got != ref {
-			t.Fatalf("forkShards=%d: stats diverged\nsharded %+v\nserial  %+v", shards, got, ref)
-		}
-	}
-}
-
 // TestSimForkIndependence: stepping the original must not disturb the
 // fork's state (deep copy, no aliased FIFOs or flight lists).
 func TestSimForkIndependence(t *testing.T) {

@@ -69,7 +69,6 @@ func TestTopoAnalyzerMatchesEngine(t *testing.T) {
 				t.Fatal(err)
 			}
 			s.RunUntilDrained(10_000)
-			s.Close()
 			if want := ta.PathClear(net, src, dst); delivered != want {
 				t.Errorf("%s %v %v->%v: engine delivered=%v, analyzer clear=%v", name, net, src, dst, delivered, want)
 			}

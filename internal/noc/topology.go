@@ -17,19 +17,21 @@ import (
 //
 // Contract:
 //
-//   - Implementations are immutable after construction. Link and
-//     Policy().Candidates are called concurrently from multiple shards
-//     of the cycle engine (each shard with its own candidate buffer),
-//     so they must be safe for lock-free concurrent use — in practice,
-//     pure functions of the receiver's construction-time fields. This
-//     is the concurrency contract that used to live on RoutingPolicy;
-//     it binds every policy a Topology returns.
+//   - Implementations are immutable after construction. Sim.Fork
+//     shares one topology and its policy across every fork, and
+//     parallel trials (and the analytical and connectivity sweeps)
+//     call Link and Policy().Candidates from many goroutines at once,
+//     each with its own candidate buffer, so they must be safe for
+//     lock-free concurrent use — in practice, pure functions of the
+//     receiver's construction-time fields. This binds every policy a
+//     Topology returns.
 //   - Every link is bidirectional with consistent endpoints: if
 //     Link(c, p) = (d, q, n, true) then Link(d, q) = (c, p, n, true).
 //   - At most one link arrives at each (tile, port): distinct (c, p)
-//     map to distinct (d, q). The sharded engine's determinism proof
-//     rests on this — each reservation slot has exactly one possible
-//     writer router — so NewSimTopology validates it at construction.
+//     map to distinct (d, q). The cycle engine keeps one in-flight and
+//     one reservation counter per input FIFO (tile, port), which is
+//     only sound with a single upstream link, so NewSimTopology
+//     validates it at construction.
 //   - The local inject/eject port is always Ports()-1 and carries no
 //     link.
 //

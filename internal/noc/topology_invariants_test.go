@@ -208,7 +208,7 @@ func TestNewTopologyRejects(t *testing.T) {
 
 // TestNewSimTopologyRejectsBrokenGraph feeds the validator a
 // deliberately corrupted link graph and requires construction to fail —
-// the invariant the sharded engine's determinism rests on must be
+// the invariants the engine's per-(tile, port) counters rest on must be
 // enforced, not assumed.
 func TestNewSimTopologyRejectsBrokenGraph(t *testing.T) {
 	g := geom.NewGrid(4, 4)

@@ -327,7 +327,6 @@ func runWorkload(ctx context.Context, sp *WorkloadSpec, emit func(Event)) (any, 
 	if err != nil {
 		return nil, err
 	}
-	defer m.Close()
 	outputs, rep, err := workload.RunCtx(ctx, m, g, workload.Options{Placement: sp.Placement})
 	if err != nil {
 		return nil, err

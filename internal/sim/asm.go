@@ -61,6 +61,9 @@ func Assemble(src string) ([]uint32, error) {
 			continue
 		}
 		fields := strings.FieldsFunc(line, func(r rune) bool { return r == ' ' || r == '\t' || r == ',' })
+		if len(fields) == 0 {
+			return nil, fmt.Errorf("asm line %d: separators with no instruction", lineNo)
+		}
 		mn := strings.ToLower(fields[0])
 		args := fields[1:]
 

@@ -36,12 +36,6 @@ type ChaosResult struct {
 // exhaustion all produce a ChaosResult instead of an error. Attach a
 // fault schedule to the machine before calling. The returned error is
 // non-nil only for setup problems (bad graph, unloadable program).
-//
-// The run honours the machine's sharded cycle engine: set m.Shards
-// (and optionally m.Workers) before calling to step the wafer in
-// parallel — the result is bit-identical to a serial run, including
-// the degradation report. Call m.Close after the run to release the
-// shard worker goroutines.
 func RunSSSPUnderFaults(m *Machine, g *Graph, src int, workers []WorkerRef, maxCycles int64) (*ChaosResult, error) {
 	return RunSSSPUnderFaultsCtx(context.Background(), m, g, src, workers, maxCycles)
 }

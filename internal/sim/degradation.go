@@ -164,7 +164,7 @@ func (m *Machine) KillTile(c geom.Coord) bool {
 		if core.state != coreHalted && core.state != coreFaulted {
 			core.Err = fmt.Errorf("tile %v killed at cycle %d", c, m.cycle)
 			core.state = coreFaulted
-			m.coreStopped(core, nil)
+			m.coreStopped(core)
 		}
 	}
 	win := int64(m.amap.GlobalWindowBytes())

@@ -120,7 +120,7 @@ func (m *Machine) remoteOpModeled(c *Core, in Instr, addr uint32, target geom.Co
 	rt, ok := m.modeledRoundTrip(c.tile, target)
 	if !ok {
 		m.degr.markDegradedOnce(target)
-		m.fault(c, nil, "tile %v unreachable from %v", target, c.tile)
+		m.fault(c, "tile %v unreachable from %v", target, c.tile)
 		return true
 	}
 	op := uint32(remLoad)
@@ -140,7 +140,7 @@ func (m *Machine) remoteOpModeled(c *Core, in Instr, addr uint32, target geom.Co
 	}
 	old, ok := m.applyRemote(addr, op, data)
 	if !ok {
-		m.fault(c, nil, "remote access lost: global address %#x has no backing", addr)
+		m.fault(c, "remote access lost: global address %#x has no backing", addr)
 		return true
 	}
 	m.tagSeq++

@@ -14,7 +14,6 @@ import (
 // ones left the stream stale by up to runProgressStride-1 cycles.
 func TestRunCtxTerminalProgressOnHalt(t *testing.T) {
 	m := newMachine(t, smallConfig(), nil)
-	defer m.Close()
 	if err := m.LoadProgram(geom.C(0, 0), 0, mustAssemble(t, "li r1, 3\nhalt")); err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +50,6 @@ func TestRunCtxTerminalProgressOnBudget(t *testing.T) {
 		if last != m.Cycle() {
 			t.Errorf("budget %d: last Progress tick = %d, machine paused at %d", budget, last, m.Cycle())
 		}
-		m.Close()
 	}
 }
 
@@ -59,7 +57,6 @@ func TestRunCtxTerminalProgressOnBudget(t *testing.T) {
 // value is the cycle the machine paused at.
 func TestRunCtxTerminalProgressOnCancel(t *testing.T) {
 	m := newMachine(t, smallConfig(), nil)
-	defer m.Close()
 	if err := m.LoadProgram(geom.C(0, 0), 0, mustAssemble(t, "spin: jal r0, spin")); err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +81,6 @@ func TestRunCtxTerminalProgressOnCancel(t *testing.T) {
 // cycle is a no-op that still emits a terminal tick.
 func TestRunToCycleCtxStopsAtTarget(t *testing.T) {
 	m := newMachine(t, smallConfig(), nil)
-	defer m.Close()
 	if err := m.LoadProgram(geom.C(0, 0), 0, mustAssemble(t, "spin: jal r0, spin")); err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import "waferscale/internal/geom"
 // with their deterministic retry/jitter state, the remap/shadow tables,
 // degradation bookkeeping, the fault map, the kernel's memoized routing
 // decisions, and the cycle counter — so stepping the fork is
-// bit-identical to stepping the original, at any shard or worker count.
+// bit-identical to stepping the original.
 // Monte Carlo sweeps use this to run a shared fault-free prefix once
 // and fork per trial at each trial's first injected-fault cycle.
 
@@ -33,8 +33,7 @@ func (m *Machine) Snapshot() *Snapshot { return &Snapshot{m: m.clone()} }
 func (s *Snapshot) Cycle() int64 { return s.m.cycle }
 
 // Fork materializes an independent machine from the snapshot. Safe for
-// concurrent use: forking only reads the frozen state. Close each fork
-// after use if it ran sharded.
+// concurrent use: forking only reads the frozen state.
 func (s *Snapshot) Fork() *Machine { return s.m.clone() }
 
 // Fork returns an independent deep copy of the machine, equivalent to
@@ -44,10 +43,8 @@ func (s *Snapshot) Fork() *Machine { return s.m.clone() }
 func (m *Machine) Fork() *Machine { return m.clone() }
 
 // clone is the one copy routine behind Snapshot and Fork. Not copied,
-// by design: the trace writer and filter (tracing forces the serial
-// loop and captures the original's writer), the Progress callback
-// (callers wire their own), and the lazily built shard engine (rebuilt
-// on first step from the copied Shards/Workers knobs). The address map
+// by design: the trace writer and filter (they capture the original's
+// writer) and the Progress callback (callers wire their own). The address map
 // is shared — it is immutable after construction. The fault map is
 // cloned exactly once and shared by the fork's machine, network and
 // kernel layers, preserving the original's aliasing (KillTile marks the
@@ -78,8 +75,6 @@ func (m *Machine) clone() *Machine {
 		BankConflicts:  m.BankConflicts,
 		running:        m.running,
 		fullScan:       m.fullScan,
-		Shards:         m.Shards,
-		Workers:        m.Workers,
 	}
 	n.pending = append([]responseToSend(nil), m.pending...)
 	n.pendingFwd = append([]forwardToSend(nil), m.pendingFwd...)

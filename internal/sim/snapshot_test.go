@@ -15,13 +15,49 @@ import (
 // engine: a machine forked at any cycle — zero, the pre-fault boundary,
 // or deep inside a degraded run — and stepped to the end must be
 // bit-identical to a machine stepped from cycle 0, on every observable
-// diffMachinesDeep covers, at any shard/worker combination on either
-// side of the fork.
+// diffMachinesDeep covers.
 
-// chaosSchedule is the standard dirty-run schedule shared with the
-// sharded differential: a worker tile killed mid-run, a link flap and a
-// bit error, so the fork must carry remap/shadow state, degradation
-// accounting, retry bookkeeping and mid-stream schedule position.
+// diffMachinesDeep extends diffMachines with a per-core comparison:
+// every core's architectural and statistical state must match.
+func diffMachinesDeep(t *testing.T, got, ref *Machine) {
+	t.Helper()
+	diffMachines(t, got, ref)
+	if got.RemoteLatency != ref.RemoteLatency {
+		t.Errorf("RemoteLatency: got %d, ref %d", got.RemoteLatency, ref.RemoteLatency)
+	}
+	if got.running != ref.running {
+		t.Errorf("running counter: got %d, ref %d", got.running, ref.running)
+	}
+	for i := range ref.tiles {
+		rt, gt := ref.tiles[i], got.tiles[i]
+		if (rt == nil) != (gt == nil) {
+			t.Fatalf("tile %d: presence diverges", i)
+		}
+		if rt == nil {
+			continue
+		}
+		if rt.dead != gt.dead {
+			t.Errorf("tile %d: dead %v vs %v", i, gt.dead, rt.dead)
+		}
+		for ci := range rt.Cores {
+			rc, gc := rt.Cores[ci], gt.Cores[ci]
+			if rc.state != gc.state || rc.PC != gc.PC || rc.Regs != gc.Regs {
+				t.Fatalf("tile %d core %d: arch state diverges (state %d/%d pc %#x/%#x)",
+					i, ci, gc.state, rc.state, gc.PC, rc.PC)
+			}
+			if rc.Instret != gc.Instret || rc.StallFixed != gc.StallFixed ||
+				rc.StallRemote != gc.StallRemote || rc.RetryCycles != gc.RetryCycles {
+				t.Fatalf("tile %d core %d: stats diverge (instret %d/%d stallR %d/%d)",
+					i, ci, gc.Instret, rc.Instret, gc.StallRemote, rc.StallRemote)
+			}
+		}
+	}
+}
+
+// chaosSchedule is the standard dirty-run schedule: a worker tile
+// killed mid-run, a link flap and a bit error, so the fork must carry
+// remap/shadow state, degradation accounting, retry bookkeeping and
+// mid-stream schedule position.
 func chaosSchedule() *inject.Schedule {
 	return inject.NewSchedule().
 		KillTileAt(2000, geom.C(1, 0)).
@@ -40,20 +76,17 @@ func runChaosReference(t *testing.T, g *Graph, budget int64) (*ChaosResult, *Mac
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Close()
 	return res, m
 }
 
 // runChaosForked runs the same workload but forks at forkAt: the prefix
-// machine (prefixShards wide) is advanced to the fork cycle, forked,
-// closed, and the fork (shards/workers wide) finishes the run. When
-// attachEarly is set the schedule rides on the prefix — the post-fault
-// fork case — otherwise it is attached to the fork, the Monte Carlo
-// driver's shape.
-func runChaosForked(t *testing.T, g *Graph, budget, forkAt int64, attachEarly bool, prefixShards, shards, workers int) (*ChaosResult, *Machine) {
+// machine is advanced to the fork cycle and forked, and the fork
+// finishes the run. When attachEarly is set the schedule rides on the
+// prefix — the post-fault fork case — otherwise it is attached to the
+// fork, the Monte Carlo driver's shape.
+func runChaosForked(t *testing.T, g *Graph, budget, forkAt int64, attachEarly bool) (*ChaosResult, *Machine) {
 	t.Helper()
 	m0 := chaosBFSMachine(t)
-	m0.Shards = prefixShards
 	if attachEarly {
 		if err := m0.AttachSchedule(chaosSchedule()); err != nil {
 			t.Fatal(err)
@@ -67,9 +100,6 @@ func runChaosForked(t *testing.T, g *Graph, budget, forkAt int64, attachEarly bo
 		t.Fatal(err)
 	}
 	f := m0.Fork()
-	m0.Close()
-	f.Shards = shards
-	f.Workers = workers
 	if !attachEarly {
 		if err := f.AttachSchedule(chaosSchedule()); err != nil {
 			t.Fatal(err)
@@ -82,9 +112,7 @@ func runChaosForked(t *testing.T, g *Graph, budget, forkAt int64, attachEarly bo
 	if !f.AllHalted() {
 		runErr = &BudgetError{Cycles: budget}
 	}
-	res := CollectSSSP(f, g, distA, runErr)
-	f.Close()
-	return res, f
+	return CollectSSSP(f, g, distA, runErr), f
 }
 
 func diffChaosResults(t *testing.T, label string, got, ref *ChaosResult) {
@@ -143,25 +171,8 @@ func TestMachineForkDifferentialChaos(t *testing.T) {
 		{"postAllFaults", 2500, true},    // kill at 2000 already landed
 	}
 	for _, tc := range cases {
-		res, f := runChaosForked(t, g, budget, tc.forkAt, tc.attachEarly, 1, 1, 0)
+		res, f := runChaosForked(t, g, budget, tc.forkAt, tc.attachEarly)
 		diffChaosResults(t, tc.name, res, refRes)
-		diffMachinesDeep(t, f, ref)
-	}
-}
-
-// TestMachineForkShardComposition crosses fork with the sharded cycle
-// engine: serial prefix into sharded forks, and a sharded prefix into a
-// serial fork, all pinned to the serial from-scratch reference.
-func TestMachineForkShardComposition(t *testing.T) {
-	const budget = 60_000
-	g := GridGraph(8, 8).Unweighted()
-	refRes, ref := runChaosReference(t, g, budget)
-
-	for _, sw := range [][3]int{{1, 2, 0}, {1, 4, 3}, {4, 1, 0}, {2, 4, 1}} {
-		prefixShards, shards, workers := sw[0], sw[1], sw[2]
-		res, f := runChaosForked(t, g, budget, 999, false, prefixShards, shards, workers)
-		label := fmt.Sprintf("prefixShards=%d shards=%d workers=%d", prefixShards, shards, workers)
-		diffChaosResults(t, label, res, refRes)
 		diffMachinesDeep(t, f, ref)
 	}
 }
@@ -193,7 +204,6 @@ func TestSnapshotConcurrentForks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.Close()
 		refs[i] = res
 	}
 
@@ -208,7 +218,6 @@ func TestSnapshotConcurrentForks(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := m0.Snapshot()
-	m0.Close()
 	if snap.Cycle() != 1400 {
 		t.Fatalf("snapshot cycle = %d, want 1400", snap.Cycle())
 	}
@@ -220,7 +229,6 @@ func TestSnapshotConcurrentForks(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			f := snap.Fork()
-			defer f.Close()
 			if err := f.AttachSchedule(scheds[i]); err != nil {
 				t.Error(err)
 				return
@@ -246,7 +254,6 @@ func TestSnapshotConcurrentForks(t *testing.T) {
 
 	// The snapshot is still intact: a late fork replays trial 0 exactly.
 	f := snap.Fork()
-	defer f.Close()
 	if err := f.AttachSchedule(scheds[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +272,6 @@ func TestSnapshotConcurrentForks(t *testing.T) {
 func TestForkIndependence(t *testing.T) {
 	g := GridGraph(6, 6).Unweighted()
 	m := chaosBFSMachine(t)
-	defer m.Close()
 	if _, err := PrepareSSSP(m, g, 0, SpreadWorkers(m, 8)); err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +279,6 @@ func TestForkIndependence(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := m.Fork()
-	defer f.Close()
 	if err := m.RunToCycleCtx(context.Background(), 2000); err != nil {
 		t.Fatal(err)
 	}

@@ -48,12 +48,8 @@ type ChaosConfig struct {
 	WorkersPerOp int
 	OpBudget     int64
 	// TrialWorkers bounds the host pool running trials (0 = GOMAXPROCS);
-	// Shards/ShardWorkers shard each trial machine's cycle engine. All
-	// three are wall-clock knobs — results are bit-identical at any
-	// setting.
+	// a wall-clock knob — results are bit-identical at any setting.
 	TrialWorkers int
-	Shards       int
-	ShardWorkers int
 	// Progress, when non-nil, is called after each finished trial with
 	// cumulative counts. Concurrency-safe required.
 	Progress func(done, total int)
@@ -134,15 +130,6 @@ func RunChaosCtx(ctx context.Context, cfg ChaosConfig, g *Graph) ([]ChaosPoint, 
 		return nil, err
 	}
 
-	trialWorkers := cfg.TrialWorkers
-	if cfg.Shards > 1 && trialWorkers <= 0 {
-		perTrial := parallel.Workers(cfg.ShardWorkers, cfg.Shards)
-		trialWorkers = parallel.Workers(0, 0) / perTrial
-		if trialWorkers < 1 {
-			trialWorkers = 1
-		}
-	}
-
 	var done atomic.Int64
 	total := cfg.Trials * len(cfg.Kills)
 	report := func() {
@@ -173,7 +160,7 @@ func RunChaosCtx(ctx context.Context, cfg ChaosConfig, g *Graph) ([]ChaosPoint, 
 				trials[i] = trials[0]
 				report()
 			}
-		} else if err := parallel.ForEach(ctx, cfg.Trials, trialWorkers, runOne); err != nil {
+		} else if err := parallel.ForEach(ctx, cfg.Trials, cfg.TrialWorkers, runOne); err != nil {
 			return points, err
 		}
 
@@ -205,9 +192,6 @@ func runChaosTrial(ctx context.Context, cfg ChaosConfig, g *Graph, want map[stri
 	if err != nil {
 		return chaosTrial{}, err
 	}
-	m.Shards = cfg.Shards
-	m.Workers = cfg.ShardWorkers
-	defer m.Close()
 	sched := inject.Random(m.Cfg.Grid(), kills, cfg.KillWindow, fault.TrialSeed(cfg.Seed, kills, trial), nil)
 	if err := m.AttachSchedule(sched); err != nil {
 		return chaosTrial{}, err

@@ -86,35 +86,26 @@ func TestPerOperatorMetrics(t *testing.T) {
 	}
 }
 
-// TestShardInvariance: identical outputs and cycle counts at shard
-// counts {1, 2, 4, 7}.
-func TestShardInvariance(t *testing.T) {
+// TestChaosTrialWorkerInvariance: the chaos sweep's points are
+// identical whether its trials run one at a time or on a pool.
+func TestChaosTrialWorkerInvariance(t *testing.T) {
 	g := TransformerBlock(0, 0, 0)
-	var baseOut map[string][]int32
-	var baseRep *WorkloadReport
-	for _, shards := range []int{1, 2, 4, 7} {
-		m, err := BuildMachine(4, "")
+	var base []ChaosPoint
+	for _, workers := range []int{1, 2, 0} {
+		cfg := DefaultChaosConfig()
+		cfg.Trials = 2
+		cfg.Kills = []int{2}
+		cfg.TrialWorkers = workers
+		points, err := RunChaos(cfg, g)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		m.Shards = shards
-		outputs, rep, err := Run(m, g, Options{})
-		m.Close()
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if !rep.Completed {
-			t.Fatalf("shards=%d failed at %q", shards, rep.FailedOp)
-		}
-		if baseOut == nil {
-			baseOut, baseRep = outputs, rep
+		if base == nil {
+			base = points
 			continue
 		}
-		if !reflect.DeepEqual(outputs, baseOut) {
-			t.Errorf("shards=%d: outputs diverged from serial", shards)
-		}
-		if rep.TotalCycles != baseRep.TotalCycles {
-			t.Errorf("shards=%d: %d cycles, serial %d", shards, rep.TotalCycles, baseRep.TotalCycles)
+		if !reflect.DeepEqual(points, base) {
+			t.Errorf("workers=%d: points diverged from serial:\n%+v\nvs\n%+v", workers, points, base)
 		}
 	}
 }

@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # Runs the cycle-engine benchmarks (NoC packet simulation, throughput
 # sweep, graph workloads, chaos survival — from-scratch and warm-state
-# forked — plus their sharded-engine variants) and records the results
-# as JSON in BENCH_noc.json so CI and
+# forked) and records the results as JSON in BENCH_noc.json so CI and
 # successive optimization PRs can track ns/op and allocs/op over time.
 #
 # Recorded numbers are the MINIMUM ns/op (and its B/op, allocs/op, iters)
@@ -11,7 +10,7 @@
 # frequency jitter only ever add time.
 #
 # Environment knobs:
-#   BENCH_PATTERN  benchmark regexp   (default: the cycle-engine benches + sharded variants)
+#   BENCH_PATTERN  benchmark regexp   (default: the cycle-engine benches)
 #   BENCH_TIME     -benchtime value   (default: 3s; CI smoke uses 1x)
 #   BENCH_COUNT    -count value       (default: 3; CI smoke uses 1)
 #   BENCH_OUT      output JSON path   (default: BENCH_noc.json)
